@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
+#include "core/kway_splitter.hpp"
 #include "workloads/synthetic.hpp"
 
 using namespace xmig;
@@ -32,10 +32,11 @@ main()
     // finite, hardware-sized variant.
     UnboundedOeStore store(/*affinity_bits=*/16);
 
-    TwoWaySplitter::Config config;
-    config.engine.windowSize = 100; // |R|
+    KWaySplitter::Config config;
+    config.depth = 1;     // 2 subsets
+    config.windowX = 100; // |R|
     config.filterBits = 20;
-    TwoWaySplitter splitter(config, store);
+    KWaySplitter splitter(config, store);
 
     // Let the algorithm watch the program run for a while.
     std::printf("training on 1M references...\n");

@@ -1,6 +1,7 @@
 #include "core/kway_splitter.hpp"
 
-#include "obs/journal.hpp"
+#include <algorithm>
+
 #include "util/hashing.hpp"
 #include "util/contracts.hpp"
 
@@ -9,10 +10,10 @@ namespace xmig {
 KWaySplitter::KWaySplitter(const Config &config, OeStore &store)
     : config_(config)
 {
-    XMIG_ASSERT(config.depth >= 1 && config.depth <= 6,
+    XMIG_ASSERT(config.depth >= 1 && config.depth <= kMaxDepth,
                 "depth %u out of range", config.depth);
     const size_t num_nodes = (size_t(1) << config.depth) - 1;
-    nodes_.reserve(num_nodes);
+    engines_.reserve(num_nodes);
     for (size_t i = 0; i < num_nodes; ++i) {
         // Level of heap node i is floor(log2(i+1)).
         unsigned level = 0;
@@ -20,112 +21,102 @@ KWaySplitter::KWaySplitter(const Config &config, OeStore &store)
             ++level;
         EngineConfig ec;
         ec.affinityBits = config.affinityBits;
-        ec.windowSize =
-            std::max<size_t>(4, config.rootWindow >> level);
+        ec.windowSize = level == 0
+            ? config.windowX
+            : std::max<size_t>(4, config.windowY >> (level - 1));
         ec.window = config.window;
         ec.ar = config.ar;
         if (i == 0) {
             ec.shadow = config.shadow;
             ec.shadowDeepCheckEvery = config.shadowDeepCheckEvery;
-            ec.shadowTag = "root";
+            ec.shadowTag = "X";
         }
         ec.faults = config.faults;
-        Node node;
-        node.engine = std::make_unique<AffinityEngine>(ec, store);
-        node.filter =
-            std::make_unique<TransitionFilter>(config.filterBits);
-        nodes_.push_back(std::move(node));
+        engines_.push_back(std::make_unique<AffinityEngine>(ec, store));
     }
+    filters_.assign(num_nodes, TransitionFilter(config.filterBits));
+    recomputePath();
 }
 
-size_t
-KWaySplitter::nodeOnPath(unsigned level) const
+void
+KWaySplitter::recomputePath()
 {
-    size_t idx = 0;
-    for (unsigned l = 0; l < level; ++l)
-        idx = 2 * idx + (nodes_[idx].filter->side() > 0 ? 1 : 2);
-    // Heap-shape balance bound: the node selected for `level` must
-    // lie inside that level's index band [2^level - 1, 2^(level+1) - 1)
-    // and inside the allocated complete tree.
-    XMIG_AUDIT(idx < nodes_.size() &&
-                   idx + 1 >= (size_t(1) << level) &&
-                   idx + 1 < (size_t(1) << (level + 1)),
-               "k-way path node %zu outside level-%u band (of %zu nodes)",
-               idx, level, nodes_.size());
-    return idx;
-}
-
-unsigned
-KWaySplitter::subset() const
-{
+    std::array<NodeRef, kMaxDepth> path;
     unsigned bits = 0;
     size_t idx = 0;
     for (unsigned l = 0; l < config_.depth; ++l) {
-        const bool negative = nodes_[idx].filter->side() < 0;
+        // Heap-shape balance bound: the path node at level l must lie
+        // inside that level's index band [2^l - 1, 2^(l+1) - 1) of
+        // the allocated tree.
+        XMIG_AUDIT(idx < filters_.size() && idx + 1 >= (size_t(1) << l) &&
+                       idx + 1 < (size_t(1) << (l + 1)),
+                   "k-way path node %zu outside level-%u band (of %zu "
+                   "nodes)", idx, l, filters_.size());
+        path[l] = {engines_[idx].get(), &filters_[idx]};
+        const bool negative = filters_[idx].side() < 0;
         bits = (bits << 1) | (negative ? 1u : 0u);
         idx = 2 * idx + (negative ? 2 : 1);
     }
-    return bits;
+    subset_ = bits;
+
+    // Spread the residues over the tree levels. The offset makes
+    // depth 2 reproduce section 3.6 exactly: odd residues drive the
+    // root (X), even ones the selected second-level node
+    // (Y[sign(F_X)]).
+    for (uint32_t h = 0; h < nodeOf_.size(); ++h)
+        nodeOf_[h] = path[(h + config_.depth - 1) % config_.depth];
 }
 
 SplitDecision
 KWaySplitter::onReference(uint64_t line, bool update_filter)
 {
     SplitDecision out;
-    const unsigned before = subset();
-
     const uint32_t h = hashMod31(line);
     out.sampled = h < config_.samplingCutoff;
     if (out.sampled) {
-        // Spread sampled residues over the tree levels. The offset
-        // makes depth 2 reproduce section 3.6 exactly: odd residues
-        // drive the root (X), even ones the selected second-level
-        // node (Y[sign(F_X)]).
-        const unsigned level =
-            (h + config_.depth - 1) % config_.depth;
-        const size_t idx = nodeOnPath(level);
-        Node &node = nodes_[idx];
+        // At depth 1 every residue maps to the root; reading slot 0
+        // there keeps the engine address off the hash's latency.
+        NodeRef node = nodeOf_[0];
+        if (config_.depth > 1)
+            node = nodeOf_[h];
         out.ae = node.engine->reference(line).ae;
+        // Only on-path nodes are updated, so a node's sign flip is
+        // exactly a change of the subset index.
         if (update_filter && node.filter->update(out.ae)) {
-            XMIG_JOURNAL(journal_, obs::JournalKind::NodeFlip,
-                         obs::JournalCause::Threshold,
-                         static_cast<int64_t>(idx),
-                         static_cast<int64_t>(level),
-                         node.filter->value());
+            recomputePath();
+            out.transition = true;
+            ++transitions_;
         }
     }
-
-    out.subset = subset();
+    out.subset = subset_;
     XMIG_AUDIT(out.subset < numSubsets(),
                "k-way subset %u out of %u", out.subset, numSubsets());
-    out.transition = out.subset != before;
-    if (out.transition)
-        ++transitions_;
     return out;
 }
 
 void
 KWaySplitter::attachJournal(obs::Journal *journal)
 {
-    journal_ = journal;
-    for (Node &node : nodes_)
-        node.engine->attachJournal(journal);
+    for (auto &engine : engines_)
+        engine->attachJournal(journal);
 }
 
 void
 KWaySplitter::resetFilters()
 {
-    for (Node &node : nodes_)
-        node.filter->reset();
+    for (TransitionFilter &filter : filters_)
+        filter.reset();
+    recomputePath();
 }
 
 void
 KWaySplitter::checkpoint(std::vector<EngineCheckpoint> &engines,
                          std::vector<FilterCheckpoint> &filters) const
 {
-    for (const Node &node : nodes_) {
-        engines.push_back(node.engine->checkpoint());
-        filters.push_back(checkpointFilter(*node.filter));
+    for (size_t i = 0; i < engines_.size(); ++i) {
+        const TransitionFilter &f = filters_[i];
+        engines.push_back(engines_[i]->checkpoint());
+        filters.push_back({f.value(), f.transitions(), f.updates()});
     }
 }
 
@@ -133,15 +124,17 @@ void
 KWaySplitter::restore(const std::vector<EngineCheckpoint> &engines,
                       const std::vector<FilterCheckpoint> &filters)
 {
-    XMIG_ASSERT(engines.size() == nodes_.size() &&
-                    filters.size() == nodes_.size(),
+    XMIG_ASSERT(engines.size() == engines_.size() &&
+                    filters.size() == filters_.size(),
                 "k-way checkpoint holds %zu engines / %zu filters for "
                 "%zu nodes",
-                engines.size(), filters.size(), nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-        nodes_[i].engine->restore(engines[i]);
-        restoreFilter(*nodes_[i].filter, filters[i]);
+                engines.size(), filters.size(), engines_.size());
+    for (size_t i = 0; i < engines_.size(); ++i) {
+        engines_[i]->restore(engines[i]);
+        filters_[i].restore(filters[i].value, filters[i].transitions,
+                            filters[i].updates);
     }
+    recomputePath();
 }
 
 } // namespace xmig

@@ -43,7 +43,6 @@
 
 #include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
-#include "core/splitter.hpp"
 #include "fault/watchdog.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
@@ -65,10 +64,10 @@ struct MigrationRetryConfig
 struct MigrationControllerConfig
 {
     /**
-     * Number of cores to split across: a power of two from 2 to 64.
-     * 2 and 4 use the paper's exact structures; larger counts use
-     * the generalized recursive splitter (KWaySplitter), realizing
-     * the section 6 conjecture.
+     * Number of cores to split across: a power of two from 2 to 64,
+     * split by a KWaySplitter of depth log2(numCores). 2 and 4 are
+     * the paper's exact structures; larger counts realize the
+     * section 6 conjecture.
      */
     unsigned numCores = 4;
 
@@ -165,7 +164,7 @@ struct ControllerCheckpoint
     unsigned activeCore = 0;
     MigrationStats stats;
     RecoveryStats recovery;
-    /** Engine states in splitter layout order (splitter.hpp). */
+    /** Engine states in splitter heap order (kway_splitter.hpp). */
     std::vector<EngineCheckpoint> engines;
     std::vector<FilterCheckpoint> filters;
     std::vector<OeEntrySnapshot> storeEntries;
@@ -223,7 +222,11 @@ class MigrationController
     const MigrationControllerConfig &config() const { return config_; }
     const OeStore &store() const { return *store_; }
 
-    /** Current affinity of a line, if tracked (snapshots, tests). */
+    /**
+     * Current affinity of a line as the root mechanism X sees it
+     * (AffinityEngine::affinityOf), if tracked; nullopt on a lone
+     * core. Snapshots and tests only.
+     */
     std::optional<int64_t> affinityOf(uint64_t line) const;
 
     /** Transition counts of the underlying splitter. */
@@ -241,12 +244,12 @@ class MigrationController
                          const std::string &prefix) const;
 
     /**
-     * Shadow oracle of the audited mechanism (X for 2/4 cores, the
-     * tree root otherwise); nullptr unless shadowAudit was set.
+     * Shadow oracle of the audited mechanism (the tree root X);
+     * nullptr unless shadowAudit was set.
      */
     const ShadowAudit *shadowAudit() const;
 
-    /** Whole-working-set mechanism (X / the tree root). */
+    /** Whole-working-set mechanism (the tree root X). */
     const AffinityEngine &rootEngine() const;
 
     /** Whole-working-set transition filter. */
@@ -332,9 +335,7 @@ class MigrationController
 
     MigrationControllerConfig config_;
     std::unique_ptr<OeStore> store_;
-    std::unique_ptr<TwoWaySplitter> two_;
-    std::unique_ptr<FourWaySplitter> four_;
-    std::unique_ptr<KWaySplitter> kway_;
+    std::unique_ptr<KWaySplitter> splitter_; ///< null on a lone core
     unsigned activeCore_ = 0;
     MigrationStats stats_;
 
@@ -357,9 +358,7 @@ class MigrationController
     // Retired splitters/stores: registered metric gauges hold
     // references into them, so a resplit parks rather than frees.
     std::vector<std::unique_ptr<OeStore>> retiredStores_;
-    std::vector<std::unique_ptr<TwoWaySplitter>> retiredTwo_;
-    std::vector<std::unique_ptr<FourWaySplitter>> retiredFour_;
-    std::vector<std::unique_ptr<KWaySplitter>> retiredKway_;
+    std::vector<std::unique_ptr<KWaySplitter>> retiredSplitters_;
 
     // Migration fabric state (engaged only under mig_drop/mig_delay
     // fault plans; otherwise migrations complete instantaneously).

@@ -86,8 +86,6 @@ journalKindName(JournalKind kind)
         return "migration_retry";
       case JournalKind::Transition:
         return "transition";
-      case JournalKind::NodeFlip:
-        return "node_flip";
       case JournalKind::Resplit:
         return "resplit";
       case JournalKind::ForcedMigration:
@@ -170,8 +168,6 @@ journalArgNames(JournalKind kind)
     static const char *const kRetry[] = {"target", "retries", nullptr};
     static const char *const kTransition[] = {"subset", "ae", "filter",
                                               "ar", nullptr};
-    static const char *const kNodeFlip[] = {"node", "level", "filter",
-                                            nullptr};
     static const char *const kResplit[] = {"ways", "live_mask", "gap",
                                            nullptr};
     static const char *const kForced[] = {"from", "to", nullptr};
@@ -209,8 +205,6 @@ journalArgNames(JournalKind kind)
         return kRetry;
       case JournalKind::Transition:
         return kTransition;
-      case JournalKind::NodeFlip:
-        return kNodeFlip;
       case JournalKind::Resplit:
         return kResplit;
       case JournalKind::ForcedMigration:

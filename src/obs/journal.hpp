@@ -57,7 +57,6 @@ enum class JournalKind : uint8_t {
     MigrationTimeout, ///< in-flight request timed out: {target, backoff}
     MigrationRetry,   ///< timed-out request re-issued: {target, retries}
     Transition,       ///< subset changed: {subset, ae, filter, ar}
-    NodeFlip,         ///< k-way node filter flipped: {node, level, filter}
     Resplit,          ///< topology rebuilt: {ways, live_mask, gap}
     ForcedMigration,  ///< active core died: {from, to}
     CoreOff,          ///< core left the live mask: {core, dirty_lost}

@@ -62,6 +62,13 @@ class TimeSeriesSampler
     /** Record one row now, regardless of cadence. */
     void sampleNow();
 
+    /**
+     * Re-read every delta column's baseline from its counter. Call
+     * after the counters were zeroed (a warm-up stats reset): the
+     * next row then reports the increase since the reset.
+     */
+    void rebaseDeltas();
+
     /** Rows currently held (<= capacity). */
     size_t samples() const;
 

@@ -105,6 +105,12 @@ class RunObservatory
     }
 
     /**
+     * The sampled machine's counters were just zeroed (warm-up end):
+     * rebase the sampler's per-interval delta columns on them.
+     */
+    void onStatsReset() { sampler_.rebaseDeltas(); }
+
+    /**
      * Export everything that was requested: JSONL metrics, CSV time
      * series, and the trace file. Must run while every attached
      * machine is still alive. Idempotent.

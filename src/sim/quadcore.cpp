@@ -2,8 +2,6 @@
 
 #include "obs/prof.hpp"
 #include "sim/observe.hpp"
-#include "sim/runner/batch_queue.hpp"
-#include "sim/runner/job_pool.hpp"
 #include "workloads/registry.hpp"
 
 namespace xmig {
@@ -68,7 +66,10 @@ class ObservedWarmupTee final : public WarmupTee
     void
     access(const MemRef &ref) override
     {
+        const bool warming = !done_;
         WarmupTee::access(ref);
+        if (warming && done_)
+            observatory_.onStatsReset();
         observatory_.onReference();
     }
 
@@ -132,80 +133,6 @@ class BatchFeedTee final : public RefSink
     size_t count_ = 0;
 };
 
-/**
- * xmig-bolt pipelined feed, producer half: feeds the baseline inline
- * on this worker and hands each chunk (with any warm-up boundary
- * marked) to the queue for the consumer worker's migration machine.
- */
-class PipelineProducerTee final : public RefSink
-{
-  public:
-    PipelineProducerTee(MigrationMachine &baseline, BatchQueue &queue,
-                        uint64_t warmup_instructions)
-        : baseline_(baseline),
-          queue_(queue),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        chunk_.refs[chunk_.count++] = ref;
-        if (!done_ && ref.isIfetch() && ++instructions_ >= warmup_) {
-            chunk_.resetAfter = static_cast<int32_t>(chunk_.count) - 1;
-            done_ = true;
-        }
-        if (chunk_.count == BatchQueue::kChunkRefs)
-            flush();
-    }
-
-    void
-    flush()
-    {
-        if (chunk_.count == 0)
-            return;
-        if (chunk_.resetAfter >= 0) {
-            const size_t b = static_cast<size_t>(chunk_.resetAfter) + 1;
-            baseline_.accessBatch(chunk_.refs.data(), b);
-            baseline_.resetStats();
-            baseline_.accessBatch(chunk_.refs.data() + b,
-                                  chunk_.count - b);
-        } else {
-            baseline_.accessBatch(chunk_.refs.data(), chunk_.count);
-        }
-        queue_.push(chunk_);
-        chunk_.count = 0;
-        chunk_.resetAfter = -1;
-    }
-
-  private:
-    MigrationMachine &baseline_;
-    BatchQueue &queue_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool done_;
-    BatchQueue::Chunk chunk_;
-};
-
-/** Consumer half: drain the queue into the migration machine. */
-void
-drainIntoMachine(BatchQueue &queue, MigrationMachine &migration)
-{
-    BatchQueue::Chunk c;
-    while (queue.pop(c)) {
-        if (c.resetAfter >= 0) {
-            const size_t b = static_cast<size_t>(c.resetAfter) + 1;
-            migration.accessBatch(c.refs.data(), b);
-            migration.resetStats();
-            migration.accessBatch(c.refs.data() + b, c.count - b);
-        } else {
-            migration.accessBatch(c.refs.data(), c.count);
-        }
-    }
-}
-
 } // namespace
 
 QuadcoreRow
@@ -238,40 +165,14 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         const uint64_t total = params.warmupInstructions +
                                params.instructionsPerBenchmark;
         // Sampling cadence and trace interleave are defined over
-        // single references; both batched modes stand down to the
+        // single references; the batched feed stands down to the
         // scalar path while either is recording (observe.hpp).
         FeedMode feed = params.feed;
         if (observatory && (observatory->samplingActive() ||
                             observatory->tracingActive()))
             feed = FeedMode::PerRef;
 
-        if (feed == FeedMode::Pipelined) {
-            // Two roles on two pool workers: the producer runs the
-            // workload and the baseline, the consumer the migration
-            // machine. JobPool(2) always has two live workers, so the
-            // bounded queue cannot deadlock (a 1-worker pool would
-            // run both roles serially and block on the first full
-            // slot — hence the explicit pool, not a caller-provided
-            // one).
-            BatchQueue queue;
-            JobPool pool(2);
-            pool.run(2, [&](size_t job) {
-                if (job == 0) {
-                    try {
-                        PipelineProducerTee tee(
-                            baseline, queue, params.warmupInstructions);
-                        workload->run(tee, total, params.seed);
-                        tee.flush();
-                    } catch (...) {
-                        queue.close(); // unblock the consumer
-                        throw;
-                    }
-                    queue.close();
-                } else {
-                    drainIntoMachine(queue, migration);
-                }
-            });
-        } else if (feed == FeedMode::Batched) {
+        if (feed == FeedMode::Batched) {
             BatchFeedTee tee(baseline, migration,
                              params.warmupInstructions);
             workload->run(tee, total, params.seed);

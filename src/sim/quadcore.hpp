@@ -63,16 +63,14 @@ struct QuadcoreRow
 
 /**
  * How the reference stream reaches the two machines of a cell
- * (xmig-bolt). All three modes produce byte-identical results — the
- * batched paths are exact by construction and the pipelined queue
- * preserves reference order — so the choice is purely a speed knob
- * (docs/parallelism.md, "batching").
+ * (xmig-bolt). Both modes produce byte-identical results — the
+ * batched path is exact by construction — so the choice is purely a
+ * speed knob (docs/parallelism.md, "batching").
  */
 enum class FeedMode : uint8_t
 {
-    PerRef,    ///< one access() per reference (the original path)
-    Batched,   ///< K-ref accessBatch() chunks, serial (default)
-    Pipelined, ///< baseline and migration machines on 2 pool workers
+    PerRef,  ///< one access() per reference (the original path)
+    Batched, ///< K-ref accessBatch() chunks (default)
 };
 
 /** Parameters of a Table 2 run. */

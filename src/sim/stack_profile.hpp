@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/splitter.hpp"
+#include "core/kway_splitter.hpp"
 
 namespace xmig {
 
@@ -31,15 +31,16 @@ struct StackProfileParams
     uint64_t lineBytes = 64;
     uint64_t seed = 42;
 
-    FourWaySplitter::Config splitter = defaultSplitter();
+    KWaySplitter::Config splitter = defaultSplitter();
 
     /** x values (cache sizes in bytes) at which p1/p4 are reported. */
     std::vector<uint64_t> plotSizes = defaultPlotSizes();
 
-    static FourWaySplitter::Config
+    static KWaySplitter::Config
     defaultSplitter()
     {
-        FourWaySplitter::Config c;
+        KWaySplitter::Config c;
+        c.depth = 2; // the paper's 4-way splitter
         c.windowX = 128;
         c.windowY = 64;
         c.filterBits = 20;

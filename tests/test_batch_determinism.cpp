@@ -1,7 +1,7 @@
 /**
  * @file
- * xmig-bolt batching byte-identity: the batched and pipelined feed
- * modes must be indistinguishable from the per-reference path in
+ * xmig-bolt batching byte-identity: the batched feed mode must be
+ * indistinguishable from the per-reference path in
  * every observable — Table-2 rows, machine counters, journal JSONL
  * bytes, sweep text at any --jobs — with and without an armed fault
  * plan; checkpoints must round-trip mid-stream; and the SoA affinity
@@ -73,8 +73,6 @@ TEST(BatchDeterminism, EveryTable1WorkloadAgreesAcrossFeedModes)
         const QuadcoreRow per = runWith(name, FeedMode::PerRef);
         expectRowsEqual(per, runWith(name, FeedMode::Batched),
                         name + " batched");
-        expectRowsEqual(per, runWith(name, FeedMode::Pipelined),
-                        name + " pipelined");
     }
 }
 
@@ -84,22 +82,17 @@ TEST(BatchDeterminism, AdversarialWorkloadsAgreeAcrossFeedModes)
         const QuadcoreRow per = runWith(name, FeedMode::PerRef);
         expectRowsEqual(per, runWith(name, FeedMode::Batched),
                         name + " batched");
-        expectRowsEqual(per, runWith(name, FeedMode::Pipelined),
-                        name + " pipelined");
     }
 }
 
 TEST(BatchDeterminism, WarmupResetLandsMidChunkExactly)
 {
     // 37'777 instructions is not a multiple of K = 64 references, so
-    // the counter reset lands inside a chunk in both batched modes.
+    // the counter reset lands inside a chunk of the batched feed.
     const QuadcoreRow per =
         runWith("179.art", FeedMode::PerRef, 37'777);
     expectRowsEqual(per, runWith("179.art", FeedMode::Batched, 37'777),
                     "warmup batched");
-    expectRowsEqual(per,
-                    runWith("179.art", FeedMode::Pipelined, 37'777),
-                    "warmup pipelined");
 }
 
 TEST(BatchDeterminism, ArmedFaultPlanAgreesAcrossFeedModes)
@@ -117,19 +110,15 @@ TEST(BatchDeterminism, ArmedFaultPlanAgreesAcrossFeedModes)
     expectRowsEqual(per,
                     runWith("179.art", FeedMode::Batched, 0, plan),
                     "fault batched");
-    expectRowsEqual(per,
-                    runWith("179.art", FeedMode::Pipelined, 0, plan),
-                    "fault pipelined");
 }
 
 TEST(BatchDeterminism, JournalJsonlBytesAgreeAcrossFeedModes)
 {
     if (!obs::kJournalCompiled)
         GTEST_SKIP() << "journal compiled out";
-    std::string jsonl[3];
-    const FeedMode modes[3] = {FeedMode::PerRef, FeedMode::Batched,
-                               FeedMode::Pipelined};
-    for (int m = 0; m < 3; ++m) {
+    std::string jsonl[2];
+    const FeedMode modes[2] = {FeedMode::PerRef, FeedMode::Batched};
+    for (int m = 0; m < 2; ++m) {
         ObserveOptions oo;
         oo.journalOut = testing::TempDir() + "xmig_batch_journal_" +
                         std::to_string(m) + ".jsonl";
@@ -142,7 +131,6 @@ TEST(BatchDeterminism, JournalJsonlBytesAgreeAcrossFeedModes)
     }
     ASSERT_FALSE(jsonl[0].empty());
     EXPECT_EQ(jsonl[0], jsonl[1]) << "batched journal diverged";
-    EXPECT_EQ(jsonl[0], jsonl[2]) << "pipelined journal diverged";
 }
 
 TEST(BatchDeterminism, SweepTextIdenticalAcrossJobsAndFeedModes)
@@ -170,13 +158,9 @@ TEST(BatchDeterminism, SweepTextIdenticalAcrossJobsAndFeedModes)
         return table.render();
     };
     const std::string reference = sweepText(FeedMode::PerRef, 1);
-    for (const FeedMode feed :
-         {FeedMode::Batched, FeedMode::Pipelined}) {
-        for (const unsigned jobs : {1u, 3u, 8u}) {
-            EXPECT_EQ(reference, sweepText(feed, jobs))
-                << "feed=" << static_cast<int>(feed)
-                << " jobs=" << jobs;
-        }
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        EXPECT_EQ(reference, sweepText(FeedMode::Batched, jobs))
+            << "jobs=" << jobs;
     }
 }
 

@@ -172,5 +172,27 @@ TEST(MigrationController, AffinityOfReportsTrackedLines)
     EXPECT_TRUE(ctrl.affinityOf(1).has_value());
 }
 
+TEST(MigrationController, AffinityOfIsTheRootEngineViewAtEveryArity)
+{
+    // affinityOf must report A_e as the root mechanism X sees it
+    // (Delta-corrected, window-aware) at every split arity, not the
+    // raw O_e word of the shared store.
+    for (unsigned cores : {2u, 4u, 8u}) {
+        MigrationController ctrl(baseConfig(cores));
+        CircularStream s(700);
+        for (int t = 0; t < 50'000; ++t)
+            ctrl.onRequest(s.next());
+        uint64_t known = 0, mismatches = 0;
+        for (uint64_t line = 0; line < 700; ++line) {
+            const std::optional<int64_t> want =
+                ctrl.rootEngine().affinityOf(line);
+            known += want.has_value() ? 1 : 0;
+            mismatches += ctrl.affinityOf(line) != want ? 1 : 0;
+        }
+        EXPECT_EQ(known, 700u) << cores << " cores";
+        EXPECT_EQ(mismatches, 0u) << cores << " cores";
+    }
+}
+
 } // namespace
 } // namespace xmig

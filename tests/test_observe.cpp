@@ -92,8 +92,8 @@ TEST(Observatory, FullQuadcoreRunProducesAllArtifacts)
                  "machine.controller.store.evictions",
                  "machine.controller.store.occupancy",
                  "machine.controller.splitter.transitions",
-                 "machine.controller.splitter.x.engine.references",
-                 "machine.controller.splitter.y_neg.filter.value",
+                 "machine.controller.splitter.node0.engine.references",
+                 "machine.controller.splitter.node2.filter.value",
              }) {
             EXPECT_TRUE(r.contains(path)) << path;
         }
@@ -179,6 +179,32 @@ TEST(Observatory, ObservedRunMatchesUnobservedRun)
     EXPECT_EQ(plain.l2MissesBaseline, observed.l2MissesBaseline);
     EXPECT_EQ(plain.l2Misses4x, observed.l2Misses4x);
     EXPECT_EQ(plain.migrations, observed.migrations);
+    std::remove(o.samplesOut.c_str());
+}
+
+TEST(Observatory, WarmupResetRebasesSampledDeltas)
+{
+    // The warm-up stats reset zeroes the counters under the sampler's
+    // per-interval delta columns (l1_misses, l2_misses); the sampler
+    // must rebase on them instead of seeing a counter run backwards.
+    QuadcoreParams p;
+    p.instructionsPerBenchmark = 200'000;
+    p.warmupInstructions = 100'000;
+    const QuadcoreRow plain = runQuadcore("179.art", p);
+
+    ObserveOptions o;
+    o.samplesOut = testing::TempDir() + "xmig_observe_warmup.csv";
+    o.sampleEvery = 1'000;
+    RunObservatory obs(o);
+    const QuadcoreRow observed = runQuadcore("179.art", p, &obs);
+
+    EXPECT_EQ(plain.l1Misses, observed.l1Misses);
+    EXPECT_EQ(plain.l2Misses4x, observed.l2Misses4x);
+    EXPECT_EQ(plain.migrations, observed.migrations);
+    const auto &s = obs.sampler();
+    EXPECT_EQ(s.totalSamples(), s.ticks() / o.sampleEvery);
+    const std::string csv = slurp(o.samplesOut);
+    EXPECT_EQ(csv.rfind("t,interval,", 0), 0u);
     std::remove(o.samplesOut.c_str());
 }
 

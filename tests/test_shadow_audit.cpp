@@ -18,10 +18,10 @@
 #include <memory>
 
 #include "core/engine.hpp"
+#include "core/kway_splitter.hpp"
 #include "core/migration_controller.hpp"
 #include "core/oe_store.hpp"
 #include "core/shadow_audit.hpp"
-#include "core/splitter.hpp"
 #include "mem/trace.hpp"
 #include "multicore/machine.hpp"
 #include "workloads/registry.hpp"
@@ -268,36 +268,44 @@ TEST(ShadowAuditDisarm, ForeignStoreEntryDisarms)
 
 TEST(ShadowAuditSplitter, TwoWayMechanismStaysBitExact)
 {
-    TwoWaySplitter::Config sc;
-    sc.engine = wideConfig(128, WindowKind::DistinctLru);
-    UnboundedOeStore store(sc.engine.affinityBits);
-    TwoWaySplitter splitter(sc, store);
+    const EngineConfig ec = wideConfig(128, WindowKind::DistinctLru);
+    KWaySplitter::Config sc;
+    sc.depth = 1;
+    sc.affinityBits = ec.affinityBits;
+    sc.windowX = ec.windowSize;
+    sc.window = ec.window;
+    sc.shadow = ec.shadow;
+    UnboundedOeStore store(sc.affinityBits);
+    KWaySplitter splitter(sc, store);
     HalfRandomStream stream(400, 64);
     for (uint64_t i = 0; i < 100'000; ++i)
         splitter.onReference(stream.next());
-    ASSERT_NE(splitter.engine().shadow(), nullptr);
-    EXPECT_TRUE(splitter.engine().shadow()->armed());
-    EXPECT_EQ(splitter.engine().shadow()->comparisons(), 100'000u);
+    ASSERT_NE(splitter.rootEngine().shadow(), nullptr);
+    EXPECT_TRUE(splitter.rootEngine().shadow()->armed());
+    EXPECT_EQ(splitter.rootEngine().shadow()->comparisons(), 100'000u);
 }
 
 TEST(ShadowAuditSplitter, FourWayArmsOnlyMechanismX)
 {
-    FourWaySplitter::Config sc;
+    KWaySplitter::Config sc;
+    sc.depth = 2;
     sc.affinityBits = 44;
     sc.window = WindowKind::DistinctLru;
     sc.shadow = ShadowMode::Armed;
     UnboundedOeStore store(sc.affinityBits);
-    FourWaySplitter splitter(sc, store);
+    KWaySplitter splitter(sc, store);
     CircularStream stream(600);
     for (uint64_t i = 0; i < 60'000; ++i)
         splitter.onReference(stream.next());
     // Lines are hash-partitioned: mechanism X sees roughly half the
     // stream (odd residues) and stays exact; the Y mechanisms share
     // the store across siblings and are not armed.
-    ASSERT_NE(splitter.engineX().shadow(), nullptr);
-    EXPECT_TRUE(splitter.engineX().shadow()->armed());
-    EXPECT_GT(splitter.engineX().shadow()->comparisons(), 20'000u);
-    EXPECT_LT(splitter.engineX().shadow()->comparisons(), 60'000u);
+    ASSERT_NE(splitter.rootEngine().shadow(), nullptr);
+    EXPECT_TRUE(splitter.rootEngine().shadow()->armed());
+    EXPECT_GT(splitter.rootEngine().shadow()->comparisons(), 20'000u);
+    EXPECT_LT(splitter.rootEngine().shadow()->comparisons(), 60'000u);
+    EXPECT_EQ(splitter.engine(1).shadow(), nullptr);
+    EXPECT_EQ(splitter.engine(2).shadow(), nullptr);
 }
 
 MigrationControllerConfig
