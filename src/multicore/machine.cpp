@@ -168,6 +168,11 @@ MigrationMachine::applyCoreEvents()
 {
     XMIG_ASSERT(injector_ && controller_,
                 "core fault events with no injector or controller");
+    // Stamp the events below with this machine's own clock, not with
+    // whatever another machine sharing the process-wide tracer last
+    // set, so the trace does not depend on how the feed interleaves
+    // machines.
+    XMIG_TRACE_CLOCK(stats_.refs);
     coreEventScratch_.clear();
     injector_->drainCoreEvents(coreEventScratch_);
     for (const CoreFaultEvent &ev : coreEventScratch_) {

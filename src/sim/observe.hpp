@@ -96,12 +96,27 @@ class RunObservatory
     void attachMachine(MigrationMachine &machine,
                        const std::string &prefix, bool sampled);
 
-    /** Advance sampling time; call once per memory reference. */
+    /** Advance sampling time by `n` memory references. */
     void
-    onReference()
+    onReference(uint64_t n = 1)
     {
         if (sampling_)
-            sampler_.tick();
+            sampler_.tick(n);
+    }
+
+    /**
+     * References left until the next time-series sample is due
+     * (UINT64_MAX while nothing is sampled). A feed that hands
+     * references over in chunks cuts a chunk here, so every sample
+     * reads the machines at its exact reference.
+     */
+    uint64_t
+    refsUntilSample() const
+    {
+        const uint64_t every = sampler_.config().sampleEvery;
+        if (!sampling_ || every == 0)
+            return UINT64_MAX;
+        return every - sampler_.ticks() % every;
     }
 
     /**
@@ -123,22 +138,6 @@ class RunObservatory
 
     /** The event journal (null unless --journal-out requested one). */
     obs::Journal *journal() { return journal_.get(); }
-
-    /**
-     * Whether per-reference time-series sampling is on. The sampler's
-     * cadence is defined in single references, so a batched feed
-     * would shift every sample instant — runQuadcore falls back to
-     * per-reference feeding while this is true (xmig-bolt).
-     */
-    bool samplingActive() const { return sampling_; }
-
-    /**
-     * Whether the process-wide tracer is recording. Trace *clocks*
-     * are batch-exact (machines stamp events with stats_.refs), but
-     * the file-order interleave of two machines' events is not, so
-     * the batched feed stands down to keep trace files byte-stable.
-     */
-    bool tracingActive() const { return tracing_; }
 
   private:
     ObserveOptions options_;

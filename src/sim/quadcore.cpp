@@ -1,5 +1,7 @@
 #include "sim/quadcore.hpp"
 
+#include <algorithm>
+
 #include "obs/prof.hpp"
 #include "sim/observe.hpp"
 #include "workloads/registry.hpp"
@@ -9,128 +11,87 @@ namespace xmig {
 namespace {
 
 /**
- * Feeds both machines and zeroes their counters once the warm-up
- * instruction budget has retired.
+ * The one feed of a Table 2 cell: buffers references and hands each
+ * chunk to both machines. A chunk is cut when it is full (K
+ * references, or 1 under FeedMode::PerRef), at the reference that
+ * retires the last warm-up instruction, and at the reference that
+ * completes a time-series sample interval — so the counter reset and
+ * every sample see both machines exactly as a per-reference feed
+ * leaves them. The caller must flush() after the workload ends.
  */
-class WarmupTee : public RefSink
+class FeedTee final : public RefSink
 {
   public:
-    WarmupTee(MigrationMachine &baseline, MigrationMachine &migration,
-              uint64_t warmup_instructions)
+    FeedTee(MigrationMachine &baseline, MigrationMachine &migration,
+            const QuadcoreParams &params, RunObservatory *observatory)
         : baseline_(baseline),
           migration_(migration),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
+          observatory_(observatory),
+          perRef_(params.feed == FeedMode::PerRef),
+          warmup_(params.warmupInstructions),
+          warming_(params.warmupInstructions > 0)
     {
+        cutAt_ = nextCut();
     }
 
     void
     access(const MemRef &ref) override
     {
-        baseline_.access(ref);
-        migration_.access(ref);
-        if (!done_ && ref.isIfetch() && ++instructions_ >= warmup_) {
-            baseline_.resetStats();
-            migration_.resetStats();
-            done_ = true;
-        }
-    }
-
-  protected:
-    MigrationMachine &baseline_;
-    MigrationMachine &migration_;
-    uint64_t warmup_;
-    uint64_t instructions_ = 0;
-    bool done_;
-};
-
-/**
- * WarmupTee that also advances the observatory's sampling clock.
- * Kept as a separate sink so the unobserved feed path stays
- * instruction-identical to a build without the observability layer
- * (measured: the extra per-reference hook costs ~5% even when the
- * branch never takes).
- */
-class ObservedWarmupTee final : public WarmupTee
-{
-  public:
-    ObservedWarmupTee(MigrationMachine &baseline,
-                      MigrationMachine &migration,
-                      uint64_t warmup_instructions,
-                      RunObservatory &observatory)
-        : WarmupTee(baseline, migration, warmup_instructions),
-          observatory_(observatory)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        const bool warming = !done_;
-        WarmupTee::access(ref);
-        if (warming && done_)
-            observatory_.onStatsReset();
-        observatory_.onReference();
-    }
-
-  private:
-    RunObservatory &observatory_;
-};
-
-/**
- * xmig-bolt batched feed: buffers K references and drives both
- * machines through accessBatch(). Warm-up runs per-reference so the
- * counter reset lands at the exact reference WarmupTee resets at;
- * the caller must flush() after the workload ends.
- */
-class BatchFeedTee final : public RefSink
-{
-  public:
-    BatchFeedTee(MigrationMachine &baseline, MigrationMachine &migration,
-                 uint64_t warmup_instructions)
-        : baseline_(baseline),
-          migration_(migration),
-          warmup_(warmup_instructions),
-          done_(warmup_instructions == 0)
-    {
-    }
-
-    void
-    access(const MemRef &ref) override
-    {
-        if (!done_) {
-            baseline_.access(ref);
-            migration_.access(ref);
-            if (ref.isIfetch() && ++instructions_ >= warmup_) {
-                baseline_.resetStats();
-                migration_.resetStats();
-                done_ = true;
-            }
-            return;
-        }
         buf_[count_++] = ref;
-        if (count_ == MigrationMachine::kBatchRefs)
-            flush();
+        const bool warmupEnds =
+            warming_ && ref.isIfetch() && ++instructions_ >= warmup_;
+        if (count_ == cutAt_ || warmupEnds)
+            flush(warmupEnds);
     }
 
     void
-    flush()
+    flush(bool warmupEnds = false)
     {
         if (count_ == 0)
             return;
-        baseline_.accessBatch(buf_, count_);
-        migration_.accessBatch(buf_, count_);
+        if (perRef_) {
+            for (size_t i = 0; i < count_; ++i) {
+                baseline_.access(buf_[i]);
+                migration_.access(buf_[i]);
+            }
+        } else {
+            baseline_.accessBatch(buf_, count_);
+            migration_.accessBatch(buf_, count_);
+        }
+        if (warmupEnds) {
+            baseline_.resetStats();
+            migration_.resetStats();
+            warming_ = false;
+            if (observatory_)
+                observatory_->onStatsReset();
+        }
+        if (observatory_)
+            observatory_->onReference(count_);
         count_ = 0;
+        cutAt_ = nextCut();
     }
 
   private:
+    size_t
+    nextCut() const
+    {
+        const size_t full = perRef_ ? 1 : MigrationMachine::kBatchRefs;
+        if (!observatory_)
+            return full;
+        return static_cast<size_t>(
+            std::min<uint64_t>(full, observatory_->refsUntilSample()));
+    }
+
     MigrationMachine &baseline_;
     MigrationMachine &migration_;
+    RunObservatory *observatory_;
+    bool perRef_;
     uint64_t warmup_;
     uint64_t instructions_ = 0;
-    bool done_;
+    bool warming_;
     MemRef buf_[MigrationMachine::kBatchRefs];
     size_t count_ = 0;
+    size_t cutAt_ = 0; ///< chunk length at which the next cut falls
 };
 
 } // namespace
@@ -164,29 +125,9 @@ runQuadcore(const std::string &benchmark, const QuadcoreParams &params,
         XMIG_PROF_SCOPE("feed");
         const uint64_t total = params.warmupInstructions +
                                params.instructionsPerBenchmark;
-        // Sampling cadence and trace interleave are defined over
-        // single references; the batched feed stands down to the
-        // scalar path while either is recording (observe.hpp).
-        FeedMode feed = params.feed;
-        if (observatory && (observatory->samplingActive() ||
-                            observatory->tracingActive()))
-            feed = FeedMode::PerRef;
-
-        if (feed == FeedMode::Batched) {
-            BatchFeedTee tee(baseline, migration,
-                             params.warmupInstructions);
-            workload->run(tee, total, params.seed);
-            tee.flush();
-        } else if (observatory) {
-            ObservedWarmupTee tee(baseline, migration,
-                                  params.warmupInstructions,
-                                  *observatory);
-            workload->run(tee, total, params.seed);
-        } else {
-            WarmupTee tee(baseline, migration,
-                          params.warmupInstructions);
-            workload->run(tee, total, params.seed);
-        }
+        FeedTee tee(baseline, migration, params, observatory);
+        workload->run(tee, total, params.seed);
+        tee.flush();
     }
 
     // Registered pointers reach into the two machines above, so every

@@ -78,10 +78,7 @@ struct QuadcoreParams
 {
     uint64_t instructionsPerBenchmark = 20'000'000;
 
-    /**
-     * Feed mode; forced back to PerRef while the observatory samples
-     * time series or traces (their artifacts are per-reference).
-     */
+    /** Feed mode; observed and unobserved runs use it alike. */
     FeedMode feed = FeedMode::Batched;
 
     /**

@@ -49,9 +49,9 @@ class BatchQueue
     };
 
     explicit BatchQueue(size_t slots = kDefaultSlots)
-        : slots_(slots > 0 ? slots : 1), ring_(slots_)
+        : slots_(slots), ring_(slots_)
     {
-        XMIG_EXPECT(slots > 0, "BatchQueue slots clamped up from 0");
+        XMIG_ASSERT(slots > 0, "BatchQueue needs at least one slot");
     }
 
     /** Ring capacity in chunks (fixed at construction). */

@@ -3,8 +3,9 @@
  * xmig-bolt batching byte-identity: the batched feed mode must be
  * indistinguishable from the per-reference path in
  * every observable — Table-2 rows, machine counters, journal JSONL
- * bytes, sweep text at any --jobs — with and without an armed fault
- * plan; checkpoints must round-trip mid-stream; and the SoA affinity
+ * bytes, time-series CSV bytes, simulated-time trace events, sweep
+ * text at any --jobs — with and without an armed fault plan;
+ * checkpoints must round-trip mid-stream; and the SoA affinity
  * store must decide exactly like the AoS one. These are the
  * acceptance properties of docs/parallelism.md, "batching".
  */
@@ -22,6 +23,7 @@
 #include "core/soa_oe_store.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/journal.hpp"
+#include "obs/trace.hpp"
 #include "sim/observe.hpp"
 #include "sim/quadcore.hpp"
 #include "sim/runner/sweep.hpp"
@@ -133,6 +135,81 @@ TEST(BatchDeterminism, JournalJsonlBytesAgreeAcrossFeedModes)
     EXPECT_EQ(jsonl[0], jsonl[1]) << "batched journal diverged";
 }
 
+TEST(BatchDeterminism, ObservedRunArtifactsAgreeAcrossFeedModes)
+{
+    // Neither the warm-up end (37'777 instructions) nor the sample
+    // cadence (777 references) is a multiple of K = 64, so both cut
+    // chunks of the batched feed short.
+    std::string samples[2];
+    std::string journal[2];
+    QuadcoreRow rows[2];
+    const FeedMode modes[2] = {FeedMode::PerRef, FeedMode::Batched};
+    for (int m = 0; m < 2; ++m) {
+        const std::string base = testing::TempDir() +
+                                 "xmig_observed_feed_" +
+                                 std::to_string(m);
+        ObserveOptions oo;
+        oo.samplesOut = base + ".csv";
+        oo.journalOut = base + ".jsonl";
+        oo.sampleEvery = 777;
+        RunObservatory observatory(oo);
+        QuadcoreParams p;
+        p.instructionsPerBenchmark = 120'000;
+        p.warmupInstructions = 37'777;
+        p.feed = modes[m];
+        rows[m] = runQuadcore("179.art", p, &observatory);
+        samples[m] = slurp(oo.samplesOut);
+        journal[m] = slurp(oo.journalOut);
+    }
+    ASSERT_FALSE(samples[0].empty());
+    EXPECT_EQ(samples[0], samples[1]) << "batched samples diverged";
+    if (obs::kJournalCompiled) {
+        ASSERT_FALSE(journal[0].empty());
+    }
+    EXPECT_EQ(journal[0], journal[1]) << "batched journal diverged";
+    expectRowsEqual(rows[0], rows[1], "observed batched");
+    expectRowsEqual(rows[0],
+                    runWith("179.art", FeedMode::Batched, 37'777),
+                    "observed vs unobserved");
+}
+
+TEST(BatchDeterminism, TracedCoreOffRunAgreesAcrossFeedModes)
+{
+    if (!obs::kTraceCompiled)
+        GTEST_SKIP() << "trace compiled out";
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
+    // The simulated-time (pid 0) events, core_off/core_on included,
+    // must not depend on how the feed interleaves the two machines.
+    // Wall-clock profiling scopes (pid 1) legitimately differ.
+    auto simulatedTime = [](const std::string &trace) {
+        std::istringstream in(trace);
+        std::string line;
+        std::string out;
+        while (std::getline(in, line)) {
+            if (line.find("\"pid\":0,") != std::string::npos)
+                out += line + "\n";
+        }
+        return out;
+    };
+    std::string events[2];
+    const FeedMode modes[2] = {FeedMode::PerRef, FeedMode::Batched};
+    for (int m = 0; m < 2; ++m) {
+        ObserveOptions oo;
+        oo.traceOut = testing::TempDir() + "xmig_traced_feed_" +
+                      std::to_string(m) + ".json";
+        RunObservatory observatory(oo);
+        QuadcoreParams p;
+        p.instructionsPerBenchmark = 120'000;
+        p.feed = modes[m];
+        p.machine.faultPlan = "at=60000:core_off=1;at=90000:core_on=1";
+        runQuadcore("179.art", p, &observatory);
+        events[m] = simulatedTime(slurp(oo.traceOut));
+    }
+    ASSERT_NE(events[0].find("\"core_off\""), std::string::npos);
+    EXPECT_EQ(events[0], events[1]) << "batched trace diverged";
+}
+
 TEST(BatchDeterminism, SweepTextIdenticalAcrossJobsAndFeedModes)
 {
     const std::vector<std::string> benches = {"179.art", "181.mcf",
@@ -200,8 +277,8 @@ TEST(BatchDeterminism, EngineBatchMatchesScalarAndChunkSplits)
 
 TEST(BatchDeterminism, EngineBatchFallbackArmMatchesScalar)
 {
-    // DistinctLru windows take referenceBatch()'s exact scalar
-    // fallback arm — it must agree with reference() too.
+    // referenceBatch() must agree with reference() on DistinctLru
+    // windows too.
     EngineConfig ec;
     ec.windowSize = 64;
     ec.window = WindowKind::DistinctLru;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/campaign.hpp"
 #include "sim/runner/job_pool.hpp"
 
@@ -47,6 +48,8 @@ constexpr uint64_t kBrokenSeed = 3;
 
 TEST(Campaign, SummaryIsByteIdenticalAcrossJobs)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const CampaignConfig config = smallCampaign(2026, 16);
     const PropertyHarness harness;
     const std::string s1 =
@@ -62,6 +65,8 @@ TEST(Campaign, SummaryIsByteIdenticalAcrossJobs)
 
 TEST(Campaign, CleanCampaignHasNoFailures)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const CampaignConfig config = smallCampaign(7, 12);
     const PropertyHarness harness;
     const CampaignResult r = runCampaign(config, harness, JobPool(2));
@@ -72,6 +77,8 @@ TEST(Campaign, CleanCampaignHasNoFailures)
 
 TEST(Campaign, BrokenOracleCampaignMinimizesAndWritesRepro)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     // kBrokenSeed samples a batch with several plans targeting both
     // core_off and bus_drop — the broken oracle's trigger.
     CampaignConfig config = smallCampaign(kBrokenSeed, 20);
@@ -105,6 +112,8 @@ TEST(Campaign, BrokenOracleCampaignMinimizesAndWritesRepro)
 
 TEST(Campaign, MinimizationCanBeDisabled)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     CampaignConfig config = smallCampaign(kBrokenSeed, 20);
     config.minimize = false;
 
@@ -120,6 +129,8 @@ TEST(Campaign, MinimizationCanBeDisabled)
 
 TEST(Campaign, ReproFilesAreDeterministic)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/fuzz_cli.hpp"
 
 namespace xmig {
@@ -177,6 +178,8 @@ TEST(FuzzCliBinary, HelpExitsZeroAndCleanRunsExitZero)
     EXPECT_EQ(runTool("--help", &out), 0);
     EXPECT_NE(out.find("usage: xmig_fuzz"), std::string::npos);
 
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     // A tiny clean guided campaign: exit 0 and a coverage line.
     EXPECT_EQ(runTool("--guided --smoke --seed 1 --plans 4 --jobs 2",
                       &out),

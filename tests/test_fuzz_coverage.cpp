@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/coverage.hpp"
 #include "fuzz/coverage_generator.hpp"
@@ -91,6 +92,8 @@ TEST(CoverageMap, ReportNamesTheMisses)
 
 TEST(Coverage, CollectReadsTheRecoverySurface)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     MachineConfig config;
     config.faultPlan = "seed=5;at=1000:core_off=2;at=9000:core_on=2";
     MigrationMachine m(config);
@@ -171,6 +174,8 @@ TEST(CoverageGenerator, SameSeedSameCaseSequence)
 
 TEST(GuidedCampaign, ByteIdenticalAcrossJobs)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const CampaignConfig config = abConfig();
     GuidedConfig guided;
     guided.workloadPool = {"storm.unsplit", "181.mcf"};
@@ -198,6 +203,8 @@ TEST(GuidedCampaign, ByteIdenticalAcrossJobs)
  */
 TEST(GuidedCampaign, BeatsUniformCoverageAtEqualBudget)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const CampaignConfig config = abConfig();
     const PropertyHarness harness;
     const JobPool pool(4);
@@ -232,6 +239,8 @@ TEST(GuidedCampaign, BeatsUniformCoverageAtEqualBudget)
 
 TEST(Campaign, SummaryReportsOracleCountsAndCoverage)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     // The broken test-only oracle gives deterministic failures to
     // count (same seed as test_fuzz_campaign's pipeline test).
     CampaignConfig config;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/property_harness.hpp"
 
 using namespace xmig;
@@ -37,6 +38,8 @@ oracles(const CaseResult &r)
 
 TEST(PropertyHarness, InertPlanPassesAllOracles)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const PropertyHarness harness;
     const CaseResult r = harness.run(shortCase("seed=3"));
     EXPECT_FALSE(r.failed()) << oracles(r);
@@ -46,6 +49,8 @@ TEST(PropertyHarness, InertPlanPassesAllOracles)
 
 TEST(PropertyHarness, DenseFaultPlanPassesAllOracles)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const PropertyHarness harness;
     const CaseResult r = harness.run(shortCase(
         "seed=11;at=5000:core_off=2;at=40000:core_on=2;"
@@ -66,6 +71,8 @@ TEST(PropertyHarness, InvalidPlanFailsFastWithoutRunning)
 
 TEST(PropertyHarness, AccountingSeesCertainFireInjections)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const PropertyHarness harness;
     const CaseResult r = harness.run(shortCase("seed=2;rate=1:flip=ae"));
     EXPECT_FALSE(r.failed()) << oracles(r);
@@ -77,6 +84,8 @@ TEST(PropertyHarness, AccountingSeesCertainFireInjections)
 
 TEST(PropertyHarness, ResultsAreDeterministic)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const PropertyHarness harness;
     const FuzzCase c = shortCase(
         "seed=5;at=9000:core_off=1;at=30000:core_on=1;"
@@ -91,6 +100,8 @@ TEST(PropertyHarness, ResultsAreDeterministic)
 
 TEST(PropertyHarness, BrokenOracleFiresOnlyWhenArmed)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const std::string plan =
         "seed=4;at=8000:core_off=3;rate=1e-5:bus_drop";
 
@@ -107,6 +118,8 @@ TEST(PropertyHarness, BrokenOracleFiresOnlyWhenArmed)
 
 TEST(PropertyHarness, BrokenOracleNeedsBothSites)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness broken(hc);
@@ -118,6 +131,8 @@ TEST(PropertyHarness, BrokenOracleNeedsBothSites)
 
 TEST(PropertyHarness, WatchdogDisabledByZeroTimeout)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.timeoutMs = 0;
     const PropertyHarness harness(hc);

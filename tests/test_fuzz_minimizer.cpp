@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/minimizer.hpp"
 
 using namespace xmig;
@@ -119,6 +120,8 @@ TEST(Ddmin, IsDeterministic)
 
 TEST(PlanMinimizer, ReducesBrokenOraclePlanToTwoStatements)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
@@ -139,6 +142,8 @@ TEST(PlanMinimizer, ReducesBrokenOraclePlanToTwoStatements)
 
 TEST(PlanMinimizer, ShrinksTriggerValues)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
@@ -160,6 +165,8 @@ TEST(PlanMinimizer, ShrinksTriggerValues)
 
 TEST(PlanMinimizer, MinimizationIsDeterministic)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     HarnessConfig hc;
     hc.brokenOracle = true;
     const PropertyHarness harness(hc);
@@ -175,6 +182,8 @@ TEST(PlanMinimizer, MinimizationIsDeterministic)
 
 TEST(PlanMinimizer, NonReproducingFailureIsReportedNotReduced)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const PropertyHarness harness; // broken oracle NOT armed
     const PlanMinimizer minimizer(harness);
     const FuzzCase c = brokenCase();

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hpp"
 #include "fuzz/soak.hpp"
 #include "obs/journal.hpp"
 #include "sim/runner/job_pool.hpp"
@@ -92,6 +93,8 @@ TEST(SoakCorpus, MalformedEntriesAreRejectedNotFatal)
 
 TEST(Soak, PersistsNovelCasesAndReplaysThemNextRun)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const std::string corpus =
         ::testing::TempDir() + "soak_corpus_persist";
     std::filesystem::remove_all(corpus);
@@ -115,6 +118,8 @@ TEST(Soak, PersistsNovelCasesAndReplaysThemNextRun)
 
 TEST(Soak, SummaryIsByteIdenticalAcrossJobs)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     // A soak run is a pure function of (seed, config, corpus
     // contents) — and it *appends* to its corpus, so each jobs count
     // gets its own copy of one seeded directory.
@@ -150,6 +155,8 @@ TEST(Soak, SummaryIsByteIdenticalAcrossJobs)
 
 TEST(Soak, FailuresArriveMinimizedWithJournalAndReplay)
 {
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
     const std::string repros =
         ::testing::TempDir() + "soak_repros";
     HarnessConfig hc;

@@ -191,14 +191,11 @@ TEST(BatchQueue, CapacityOneRingStillPipelines)
     producer.join();
 }
 
-TEST(BatchQueue, ZeroSlotsClampToOne)
+TEST(BatchQueueDeathTest, ZeroSlotsAreRejected)
 {
-    BatchQueue queue(0);
-    EXPECT_EQ(queue.capacity(), 1u);
-    EXPECT_TRUE(queue.push(chunkTagged(7)));
-    BatchQueue::Chunk out;
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out.refs[0].addr, 7u);
+    // A zero-slot ring could never hand a chunk over; the contract
+    // fires at every audit level rather than silently resizing.
+    EXPECT_DEATH(BatchQueue queue(0), "at least one slot");
 }
 
 TEST(BatchQueue, WrapsCleanlyAtPowerOfTwoBoundary)
