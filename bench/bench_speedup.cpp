@@ -14,7 +14,7 @@
  *  2. Hot-path ns/reference — single-thread microloops over the
  *     per-reference kernels: AffinityEngine::reference with FIFO and
  *     distinct-LRU windows, the affinity-cache probe/update loop in
- *     both layouts (virtual AoS store vs devirtualized SoA store),
+ *     both layouts (AoS vs SoA, each through the OeStore interface),
  *     and MigrationMachine on a recorded 179.art stream both
  *     per-reference (access) and batched (accessBatch, K = 64, the
  *     xmig-bolt pipeline). These move with the per-reference
@@ -134,24 +134,20 @@ engineLoopNs(WindowKind window, uint64_t iters)
 /**
  * Affinity-cache probe/update loop, isolated from the engine: the
  * access pattern is a circular sweep wider than the cache, so every
- * iteration probes and every fourth updates (forcing evictions). The
- * AoS arm goes through the OeStore interface exactly as the scalar
- * engine does; the SoA arm uses the devirtualized *Fast entry points
- * the batched engine uses. Identical streams, so the delta is the
- * layout + dispatch cost alone.
+ * iteration probes and every fourth updates (forcing evictions). Both
+ * arms go through the OeStore interface exactly as the engine does.
+ * Identical streams, so the delta is the layout cost alone.
  */
 double
 probeLoopNs(bool soa, uint64_t iters)
 {
     AffinityCacheConfig ac; // the section 4.2 default: 8k, 4-way
-    std::unique_ptr<OeStore> aosStore;
-    std::unique_ptr<SoaAffinityStore> soaStore;
-    OeStore *vstore = nullptr;
+    std::unique_ptr<OeStore> owned;
     if (soa)
-        soaStore = std::make_unique<SoaAffinityStore>(ac);
+        owned = std::make_unique<SoaAffinityStore>(ac);
     else
-        vstore = (aosStore = std::make_unique<AffinityCacheStore>(ac))
-                     .get();
+        owned = std::make_unique<AffinityCacheStore>(ac);
+    OeStore &store = *owned;
     // Prime, ~3/4 of the entry count: the sweep mostly hits (the
     // affinity cache's operating regime), with enough conflict misses
     // in the skewed banks to keep the install path warm.
@@ -162,23 +158,14 @@ probeLoopNs(bool soa, uint64_t iters)
     // measured loop starts in the mostly-hit regime.
     for (uint64_t i = 0; i < 2 * span; ++i) {
         line = line + 1 == span ? 0 : line + 1;
-        if (soa)
-            sink += soaStore->lookupFast(line, 3);
-        else
-            sink += vstore->lookup(line, 3);
+        sink += store.lookup(line, 3);
     }
     const double t0 = now();
     for (uint64_t i = 0; i < iters; ++i) {
         line = line + 1 == span ? 0 : line + 1;
-        if (soa) {
-            sink += soaStore->lookupFast(line, 3);
-            if ((i & 3) == 0)
-                soaStore->storeFast(line ^ 0x1555, sink & 0xff);
-        } else {
-            sink += vstore->lookup(line, 3);
-            if ((i & 3) == 0)
-                vstore->store(line ^ 0x1555, sink & 0xff);
-        }
+        sink += store.lookup(line, 3);
+        if ((i & 3) == 0)
+            store.store(line ^ 0x1555, sink & 0xff);
     }
     const double dt = now() - t0;
     if (sink == 0x7eadbeef)

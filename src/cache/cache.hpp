@@ -72,6 +72,24 @@ struct CacheStats
             ? 0.0
             : static_cast<double>(misses) / static_cast<double>(accesses);
     }
+
+    CacheStats &
+    operator+=(const CacheStats &o)
+    {
+        accesses += o.accesses;
+        hits += o.hits;
+        misses += o.misses;
+        writebacks += o.writebacks;
+        return *this;
+    }
+
+    /** Field-wise difference: the tallies added since `o` was taken. */
+    CacheStats
+    operator-(const CacheStats &o) const
+    {
+        return {accesses - o.accesses, hits - o.hits, misses - o.misses,
+                writebacks - o.writebacks};
+    }
 };
 
 /**
@@ -128,6 +146,9 @@ class Cache
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = {}; }
+
+    /** Count accesses made on a mirror of this cache (merged tallies). */
+    void addStats(const CacheStats &s) { stats_ += s; }
 
     const CacheConfig &config() const { return config_; }
     TagStore &tags() { return *tags_; }

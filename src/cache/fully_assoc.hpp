@@ -78,6 +78,7 @@ class FullyAssocLru
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = {}; }
+    void addStats(const CacheStats &s) { stats_ += s; }
 
   private:
     uint64_t capacity_;

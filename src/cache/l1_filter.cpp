@@ -130,6 +130,18 @@ L1Filter::filterBatch(const MemRef *refs, size_t n, LineEvent *events,
     return m;
 }
 
+void
+L1Filter::addStats(const CacheStats &il1, const CacheStats &dl1)
+{
+    if (config_.fullyAssociative) {
+        faIl1_->addStats(il1);
+        faDl1_->addStats(dl1);
+    } else {
+        saIl1_->addStats(il1);
+        saDl1_->addStats(dl1);
+    }
+}
+
 const CacheStats &
 L1Filter::il1Stats() const
 {

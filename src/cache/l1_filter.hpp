@@ -107,6 +107,15 @@ class L1Filter : public RefSink
 
     const CacheStats &il1Stats() const;
     const CacheStats &dl1Stats() const;
+
+    /**
+     * Add the tallies of accesses filtered by a mirror of this level
+     * (an L1 with the same geometry fed the same stream), so the
+     * counters read as if this filter had made them. Contents are
+     * left alone.
+     */
+    void addStats(const CacheStats &il1, const CacheStats &dl1);
+
     const LineGeometry &geometry() const { return geom_; }
 
     /** Replace the downstream sink (for staged experiments). */

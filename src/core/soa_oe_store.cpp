@@ -99,7 +99,7 @@ SoaAffinityStore::allocateIndex(uint64_t line, uint64_t *evicted_line,
 }
 
 int64_t
-SoaAffinityStore::lookupFast(uint64_t line, int64_t delta)
+SoaAffinityStore::lookup(uint64_t line, int64_t delta)
 {
     ++stats_.lookups;
     auditConsistency();
@@ -131,7 +131,7 @@ SoaAffinityStore::lookupFast(uint64_t line, int64_t delta)
 }
 
 void
-SoaAffinityStore::storeFast(uint64_t line, int64_t oe)
+SoaAffinityStore::store(uint64_t line, int64_t oe)
 {
     ++stats_.stores;
     auditConsistency();

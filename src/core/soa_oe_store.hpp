@@ -47,17 +47,8 @@ class SoaAffinityStore : public OeStore
   public:
     explicit SoaAffinityStore(const AffinityCacheConfig &config);
 
-    int64_t
-    lookup(uint64_t line, int64_t delta) override
-    {
-        return lookupFast(line, delta);
-    }
-
-    void
-    store(uint64_t line, int64_t oe) override
-    {
-        storeFast(line, oe);
-    }
+    int64_t lookup(uint64_t line, int64_t delta) override;
+    void store(uint64_t line, int64_t oe) override;
 
     std::optional<int64_t> peek(uint64_t line) const override;
     const OeStoreStats &stats() const override { return stats_; }
@@ -68,15 +59,6 @@ class SoaAffinityStore : public OeStore
     void snapshotEntries(std::vector<OeEntrySnapshot> &out) const override;
     void restoreEntries(const std::vector<OeEntrySnapshot> &entries,
                         const OeStoreStats &stats) override;
-
-    /**
-     * Non-virtual hot-path entry points: batch loops that hold a
-     * concrete SoaAffinityStore* call these directly, skipping the
-     * vtable. The virtual overrides above are thin forwards, so both
-     * paths are literally the same code.
-     */
-    int64_t lookupFast(uint64_t line, int64_t delta);
-    void storeFast(uint64_t line, int64_t oe);
 
     /** Valid entries; maintained incrementally, O(1). */
     uint64_t occupancy() const { return resident_; }

@@ -1,6 +1,8 @@
 #include "fuzz/property_harness.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 
 #include "fault/fault_injector.hpp"
@@ -66,6 +68,24 @@ feed(MigrationMachine &m, const std::vector<MemRef> &refs,
 {
     for (size_t i = begin; i < end; ++i)
         m.access(refs[i]);
+}
+
+/**
+ * feed() through accessBatch() in odd chunk lengths, so chunk edges
+ * fall on both sides of every fault tick and of the machine's K-ref
+ * chunks: the batched path must match the per-reference one.
+ */
+void
+feedBatched(MigrationMachine &m, const std::vector<MemRef> &refs,
+            size_t begin, size_t end)
+{
+    static constexpr size_t kLengths[] = {1, 63, 64, 65, 7, 129, 200};
+    size_t turn = 0;
+    for (size_t at = begin; at < end;) {
+        const size_t k = std::min(kLengths[turn++ % std::size(kLengths)], end - at);
+        m.accessBatch(refs.data() + at, k);
+        at += k;
+    }
 }
 
 bool
@@ -134,10 +154,11 @@ PropertyHarness::run(const FuzzCase &c) const
         result.faultsInjected = inj->stats().total();
     result.coverage = collectCoverage(a);
 
-    // Oracle: replay. Same (workload seed, plan) => same machine.
+    // Oracle: replay. Same (workload seed, plan) => same machine,
+    // whether fed per reference (run A) or batched (run B).
     {
         MigrationMachine b(config);
-        feed(b, refs, 0, refs.size());
+        feedBatched(b, refs, 0, refs.size());
         const std::string print_b = fingerprint(b);
         if (print_b != print_a)
             addFailure("replay", "run A: " + print_a +
@@ -145,7 +166,8 @@ PropertyHarness::run(const FuzzCase &c) const
     }
 
     // Oracle: checkpoint. Restore into two fresh machines and feed
-    // both the identical suffix; they must agree with each other.
+    // both the identical suffix, one per reference and one batched;
+    // they must agree with each other.
     // (The injector is architectural-state-free and restarts at tick
     // 0 on restore, so the restored pair is not compared to run A.)
     {
@@ -154,7 +176,7 @@ PropertyHarness::run(const FuzzCase &c) const
         r1.restore(ckpt);
         r2.restore(ckpt);
         feed(r1, refs, ckpt_at, refs.size());
-        feed(r2, refs, ckpt_at, refs.size());
+        feedBatched(r2, refs, ckpt_at, refs.size());
         const std::string p1 = fingerprint(r1);
         const std::string p2 = fingerprint(r2);
         if (p1 != p2)

@@ -105,54 +105,81 @@ MigrationMachine::access(const MemRef &ref)
 void
 MigrationMachine::accessBatch(const MemRef *refs, size_t n)
 {
-    if constexpr (kFaultEnabled) {
-        if (injector_) {
-            // Injector ticks, fault draws, and core hot-(un)plug
-            // events are all defined per reference; replaying them at
-            // chunk granularity would change every draw after the
-            // first. Exact fallback.
-            for (size_t i = 0; i < n; ++i) {
-                // xmig-lint: allow(alloc-in-hot-loop) -- injector is
-                // per-reference; exact fallback, cold path.
-                access(refs[i]);
-            }
-            return;
-        }
-    }
+    const uint64_t refs_after = stats_.refs + n;
+    PostL1Chunk chunk;
     while (n > 0) {
         const size_t k = n < kBatchRefs ? n : kBatchRefs;
-        const uint64_t base_refs = stats_.refs;
-        const uint64_t base_instr = stats_.instructions;
-
-        // Phase 1: the whole chunk through the L1 level in one loop,
-        // which also tallies the instruction-fetch count at each
-        // event. At most one event per reference, so the fixed
-        // buffers fit.
-        LineEvent events[kBatchRefs];
-        uint32_t ev_ref[kBatchRefs];
-        uint32_t ev_instr[kBatchRefs];
-        uint32_t ifetches = 0;
-        const size_t m =
-            l1_->filterBatch(refs, k, events, ev_ref, ev_instr,
-                             &ifetches);
-
-        // Phase 2: the sparse post-L1 events, in reference order,
-        // with the counters set to their exact scalar values first —
-        // processLine() stamps trace/journal events with stats_.refs.
-        for (size_t e = 0; e < m; ++e) {
-            stats_.refs = base_refs + ev_ref[e] + 1;
-            stats_.instructions = base_instr + ev_instr[e];
-            processLine(events[e]);
-        }
-        stats_.refs = base_refs + k;
-        stats_.instructions = base_instr + ifetches;
-        XMIG_AUDIT(stats_.instructions <= stats_.refs,
-                   "instruction fetches (%llu) outran references (%llu)",
-                   (unsigned long long)stats_.instructions,
-                   (unsigned long long)stats_.refs);
+        filterBatch(refs, k, chunk);
+        replayBatch(chunk);
         refs += k;
         n -= k;
     }
+    XMIG_AUDIT(stats_.refs == refs_after,
+               "batch counted %llu references, expected %llu",
+               (unsigned long long)stats_.refs,
+               (unsigned long long)refs_after);
+}
+
+void
+MigrationMachine::filterBatch(const MemRef *refs, size_t n,
+                              PostL1Chunk &chunk)
+{
+    XMIG_ASSERT(n <= kBatchRefs, "chunk of %zu references exceeds K",
+                n);
+    const CacheStats il1_before = l1_->il1Stats();
+    const CacheStats dl1_before = l1_->dl1Stats();
+    // At most one event per reference, so the fixed buffers fit.
+    chunk.eventCount =
+        l1_->filterBatch(refs, n, chunk.events, chunk.evRef,
+                         chunk.evInstr, &chunk.ifetches);
+    chunk.filter = l1_.get();
+    chunk.refs = refs;
+    chunk.refCount = n;
+    chunk.il1 = l1_->il1Stats() - il1_before;
+    chunk.dl1 = l1_->dl1Stats() - dl1_before;
+}
+
+void
+MigrationMachine::replayBatch(const PostL1Chunk &chunk)
+{
+    if (chunk.filter != l1_.get())
+        l1_->addStats(chunk.il1, chunk.dl1);
+    const bool armed = kFaultEnabled && injector_ != nullptr;
+    const uint64_t base_refs = stats_.refs;
+    const uint64_t base_instr = stats_.instructions;
+    // Tick the injector for references [ticked, to), each tick
+    // followed by the core events it releases, with the counters
+    // access() shows before it counts that reference.
+    size_t ticked = 0;
+    auto tickThrough = [&](size_t to) {
+        for (; ticked < to; ++ticked) {
+            injector_->tick();
+            if (!injector_->coreEventsPending())
+                continue;
+            stats_.refs = base_refs + ticked;
+            stats_.instructions = base_instr;
+            for (size_t j = 0; j < ticked; ++j)
+                stats_.instructions += chunk.refs[j].isIfetch() ? 1 : 0;
+            applyCoreEvents();
+        }
+    };
+    for (size_t e = 0; e < chunk.eventCount; ++e) {
+        const size_t r = chunk.evRef[e];
+        if (armed)
+            tickThrough(r + 1);
+        // processLine() stamps trace/journal events with stats_.refs.
+        stats_.refs = base_refs + r + 1;
+        stats_.instructions = base_instr + chunk.evInstr[e];
+        processLine(chunk.events[e]);
+    }
+    if (armed)
+        tickThrough(chunk.refCount);
+    stats_.refs = base_refs + chunk.refCount;
+    stats_.instructions = base_instr + chunk.ifetches;
+    XMIG_AUDIT(stats_.instructions <= stats_.refs,
+               "instruction fetches (%llu) outran references (%llu)",
+               (unsigned long long)stats_.instructions,
+               (unsigned long long)stats_.refs);
 }
 
 void

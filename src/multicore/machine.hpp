@@ -193,17 +193,58 @@ class MigrationMachine : public RefSink, private LineSink
     static constexpr size_t kBatchRefs = 64;
 
     /**
+     * One chunk of the post-L1 stream: filterBatch()'s output and
+     * replayBatch()'s input. The L1 probes of up to K references have
+     * run; what is left for the machine is the sparse events, each
+     * with the index of its reference and the instruction fetches up
+     * to and including that reference.
+     */
+    struct PostL1Chunk
+    {
+        const L1Filter *filter = nullptr; ///< the L1 that filtered it
+        const MemRef *refs = nullptr; ///< the chunk's references (borrowed)
+        size_t refCount = 0;
+        size_t eventCount = 0;
+        uint32_t ifetches = 0; ///< instruction fetches in the chunk
+        CacheStats il1;        ///< IL1 tallies the filtering added
+        CacheStats dl1;        ///< DL1 tallies the filtering added
+        LineEvent events[kBatchRefs];
+        uint32_t evRef[kBatchRefs];   ///< reference index of each event
+        uint32_t evInstr[kBatchRefs]; ///< ifetches through that reference
+    };
+
+    /**
      * Process a run of `n` references — the xmig-bolt batch entry
-     * point. Byte-identical to n access() calls: each K-ref chunk
-     * filters through the L1 level in one tight devirtualized loop,
-     * then the (sparse) post-L1 events are processed in order with
-     * stats_.refs / stats_.instructions set to their exact scalar
-     * values before every event, so trace and journal clocks cannot
-     * tell the difference (docs/parallelism.md, "batching"). An armed
-     * fault plan falls back to per-reference processing — injector
-     * ticks are defined per reference.
+     * point. Byte-identical to n access() calls: each K-ref chunk goes
+     * through filterBatch() then replayBatch().
      */
     void accessBatch(const MemRef *refs, size_t n);
+
+    /**
+     * The filter step: run `n` <= K references through this machine's
+     * L1 level in one tight devirtualized loop and leave the post-L1
+     * chunk in `chunk`. `refs` must outlive the replay of the chunk.
+     */
+    void filterBatch(const MemRef *refs, size_t n, PostL1Chunk &chunk);
+
+    /**
+     * The replay step: process a chunk's events in order, with
+     * stats_.refs / stats_.instructions set to their exact scalar
+     * values before every event, so trace and journal clocks cannot
+     * tell the difference (docs/parallelism.md, "batching"). On a
+     * fault-armed machine the injector is ticked once per reference,
+     * each tick followed by that reference's core events and then its
+     * post-L1 event — access()'s order, since no fault site is in the
+     * L1 level.
+     *
+     * The chunk may come from another machine's filterBatch(): L1
+     * contents are mirrored and never written back into by what
+     * follows, so any machine with the same L1 geometry fed the same
+     * stream produces the same chunk (section 2.3). A machine replaying
+     * a chunk it did not filter adds the chunk's L1 tallies to its own
+     * IL1/DL1 counters; its L1 contents stay as they were.
+     */
+    void replayBatch(const PostL1Chunk &chunk);
 
     const MachineStats &stats() const { return stats_; }
     unsigned activeCore() const { return activeCore_; }

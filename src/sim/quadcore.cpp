@@ -18,6 +18,13 @@ namespace {
  * completes a time-series sample interval — so the counter reset and
  * every sample see both machines exactly as a per-reference feed
  * leaves them. The caller must flush() after the workload ends.
+ *
+ * A batched chunk is filtered through the L1 level once, by the
+ * migration machine, and the post-L1 chunk is replayed into both
+ * machines: L1 contents are mirrored across cores, so the L1 miss
+ * stream does not depend on migration (DESIGN.md section 7). Under
+ * PerRef each machine filters through its own L1, one reference at
+ * a time — the reference path the batched feed is checked against.
  */
 class FeedTee final : public RefSink
 {
@@ -55,8 +62,9 @@ class FeedTee final : public RefSink
                 migration_.access(buf_[i]);
             }
         } else {
-            baseline_.accessBatch(buf_, count_);
-            migration_.accessBatch(buf_, count_);
+            migration_.filterBatch(buf_, count_, chunk_);
+            baseline_.replayBatch(chunk_);
+            migration_.replayBatch(chunk_);
         }
         if (warmupEnds) {
             baseline_.resetStats();
@@ -90,6 +98,7 @@ class FeedTee final : public RefSink
     uint64_t instructions_ = 0;
     bool warming_;
     MemRef buf_[MigrationMachine::kBatchRefs];
+    MigrationMachine::PostL1Chunk chunk_;
     size_t count_ = 0;
     size_t cutAt_ = 0; ///< chunk length at which the next cut falls
 };

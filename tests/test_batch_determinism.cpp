@@ -10,8 +10,10 @@
  * acceptance properties of docs/parallelism.md, "batching".
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "core/oe_store.hpp"
 #include "core/soa_oe_store.hpp"
 #include "fault/fault_injector.hpp"
+#include "mem/trace.hpp"
+#include "multicore/machine.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
 #include "sim/observe.hpp"
@@ -53,6 +57,48 @@ runWith(const std::string &bench, FeedMode feed,
     p.feed = feed;
     p.machine.faultPlan = plan;
     return runQuadcore(bench, p);
+}
+
+/** The lines of `text` that contain `needle`. */
+std::string
+linesWith(const std::string &text, const std::string &needle)
+{
+    std::istringstream in(text);
+    std::string line;
+    std::string out;
+    while (std::getline(in, line)) {
+        if (line.find(needle) != std::string::npos)
+            out += line + "\n";
+    }
+    return out;
+}
+
+/** Every MachineStats field, the active core and the injector totals. */
+std::string
+machineText(const MigrationMachine &m)
+{
+    const MachineStats &s = m.stats();
+    std::ostringstream out;
+    out << "instr=" << s.instructions << " refs=" << s.refs
+        << " l1m=" << s.l1Misses << " l2a=" << s.l2Accesses
+        << " l2m=" << s.l2Misses << " fwd=" << s.l2ToL2Forwards
+        << " wb=" << s.l3Writebacks << " mig=" << s.migrations
+        << " bus=" << s.updateBusStores << " pff=" << s.prefetchFills
+        << " pfu=" << s.prefetchUseful << " l3a=" << s.l3Accesses
+        << " l3m=" << s.l3Misses << " memwb=" << s.memoryWritebacks
+        << " off=" << s.coreOffEvents << " on=" << s.coreOnEvents
+        << " lost=" << s.dirtyLinesLost << " drop=" << s.busDrops
+        << " scrub=" << s.coherenceRepairs
+        << " active=" << m.activeCore();
+    if (const FaultInjector *inj = m.injector()) {
+        out << " ticks=" << inj->stats().ticks;
+        for (size_t i = 0; i < static_cast<size_t>(FaultSite::kCount);
+             ++i) {
+            out << ' ' << faultSiteName(static_cast<FaultSite>(i)) << '='
+                << inj->stats().injected[i];
+        }
+    }
+    return out.str();
 }
 
 void
@@ -101,17 +147,87 @@ TEST(BatchDeterminism, ArmedFaultPlanAgreesAcrossFeedModes)
 {
     if (!kFaultEnabled)
         GTEST_SKIP() << "fault hooks compiled out";
-    // Injector ticks are per-reference, so the fault-armed machine
-    // falls back to the scalar path internally — every feed mode must
-    // still see the identical fault timeline.
+    // The fault-armed machine ticks its injector once per reference
+    // inside replayBatch(), so both feed modes must see the identical
+    // fault timeline: the same row, journal bytes, injector ticks and
+    // per-site injection counts.
     const std::string plan =
         "seed=5;rate=0.001:bus_drop;at=60000:core_off=1;"
         "at=90000:core_on=1";
-    const QuadcoreRow per =
-        runWith("179.art", FeedMode::PerRef, 0, plan);
-    expectRowsEqual(per,
+    std::string journal[2];
+    std::string faults[2];
+    QuadcoreRow rows[2];
+    const FeedMode modes[2] = {FeedMode::PerRef, FeedMode::Batched};
+    for (int m = 0; m < 2; ++m) {
+        const std::string base = testing::TempDir() +
+                                 "xmig_fault_feed_" + std::to_string(m);
+        ObserveOptions oo;
+        oo.metricsOut = base + ".metrics.jsonl";
+        oo.journalOut = base + ".journal.jsonl";
+        RunObservatory observatory(oo);
+        QuadcoreParams p;
+        p.instructionsPerBenchmark = 120'000;
+        p.feed = modes[m];
+        p.machine.faultPlan = plan;
+        rows[m] = runQuadcore("179.art", p, &observatory);
+        journal[m] = slurp(oo.journalOut);
+        faults[m] = linesWith(slurp(oo.metricsOut), "\"machine.faults.");
+    }
+    ASSERT_NE(faults[0].find("machine.faults.ticks"), std::string::npos);
+    EXPECT_EQ(faults[0], faults[1]) << "batched injector stats diverged";
+    if (obs::kJournalCompiled) {
+        ASSERT_NE(journal[0].find("core_off"), std::string::npos);
+    }
+    EXPECT_EQ(journal[0], journal[1]) << "batched journal diverged";
+    expectRowsEqual(rows[0], rows[1], "fault batched");
+    expectRowsEqual(rows[0],
                     runWith("179.art", FeedMode::Batched, 0, plan),
-                    "fault batched");
+                    "fault observed vs unobserved");
+}
+
+TEST(BatchDeterminism, FaultArmedAccessBatchMatchesAccessInOddChunks)
+{
+    if (!kFaultEnabled)
+        GTEST_SKIP() << "fault hooks compiled out";
+    // Core churn scheduled off chunk edges and drawn once per tick,
+    // plus faults drawn inside the post-L1 events: any drift in when
+    // the injector ticks shows in the counters or the journal.
+    MachineConfig cfg;
+    cfg.faultPlan = "seed=11;at=1000:core_off=1;at=5001:core_on=1;"
+                    "at=20063:core_off=3;at=70001:core_on=3;"
+                    "rate=0.00002:core_off=2;at=150000:core_on=2;"
+                    "rate=0.001:bus_drop;rate=0.0005:flip=oe;"
+                    "rate=0.0005:mig_drop";
+    CircularStream s(20'000);
+    std::vector<MemRef> refs;
+    for (uint64_t i = 0; i < 100'000; ++i) {
+        refs.push_back(MemRef::ifetch(0x400000 + (i % 4096) * 4));
+        const uint64_t addr = s.next() * 64;
+        refs.push_back(i % 4 == 0 ? MemRef::store(addr)
+                                  : MemRef::load(addr));
+    }
+
+    MigrationMachine a(cfg), b(cfg);
+    obs::Journal ja, jb;
+    a.attachJournal(&ja);
+    b.attachJournal(&jb);
+    for (const MemRef &ref : refs)
+        a.access(ref);
+    const size_t lengths[] = {1, 63, 64, 65, 127, 128, 129, 7, 200};
+    size_t turn = 0;
+    for (size_t at = 0; at < refs.size();) {
+        const size_t k = std::min(lengths[turn++ % std::size(lengths)],
+                                  refs.size() - at);
+        b.accessBatch(refs.data() + at, k);
+        at += k;
+    }
+    EXPECT_GT(a.stats().coreOffEvents, 2u);
+    EXPECT_GT(a.stats().busDrops, 0u);
+    EXPECT_EQ(machineText(a), machineText(b));
+    if (obs::kJournalCompiled) {
+        ASSERT_NE(ja.renderJsonl().find("core_off"), std::string::npos);
+    }
+    EXPECT_EQ(ja.renderJsonl(), jb.renderJsonl());
 }
 
 TEST(BatchDeterminism, JournalJsonlBytesAgreeAcrossFeedModes)
@@ -142,6 +258,7 @@ TEST(BatchDeterminism, ObservedRunArtifactsAgreeAcrossFeedModes)
     // chunks of the batched feed short.
     std::string samples[2];
     std::string journal[2];
+    std::string metrics[2];
     QuadcoreRow rows[2];
     const FeedMode modes[2] = {FeedMode::PerRef, FeedMode::Batched};
     for (int m = 0; m < 2; ++m) {
@@ -151,6 +268,7 @@ TEST(BatchDeterminism, ObservedRunArtifactsAgreeAcrossFeedModes)
         ObserveOptions oo;
         oo.samplesOut = base + ".csv";
         oo.journalOut = base + ".jsonl";
+        oo.metricsOut = base + ".metrics.jsonl";
         oo.sampleEvery = 777;
         RunObservatory observatory(oo);
         QuadcoreParams p;
@@ -160,9 +278,14 @@ TEST(BatchDeterminism, ObservedRunArtifactsAgreeAcrossFeedModes)
         rows[m] = runQuadcore("179.art", p, &observatory);
         samples[m] = slurp(oo.samplesOut);
         journal[m] = slurp(oo.journalOut);
+        metrics[m] = slurp(oo.metricsOut);
     }
     ASSERT_FALSE(samples[0].empty());
     EXPECT_EQ(samples[0], samples[1]) << "batched samples diverged";
+    // baseline.il1.* / .dl1.* included: the baseline replays chunks
+    // the migration machine filtered, with the L1 tallies merged.
+    ASSERT_NE(metrics[0].find("baseline.il1.accesses"), std::string::npos);
+    EXPECT_EQ(metrics[0], metrics[1]) << "batched metrics diverged";
     if (obs::kJournalCompiled) {
         ASSERT_FALSE(journal[0].empty());
     }

@@ -330,6 +330,22 @@ TEST(AllocInHotLoop, FlagsHeapAllocationInBatchBodies)
               std::vector<std::string>{"alloc-in-hot-loop"});
 }
 
+TEST(AllocInHotLoop, FlagsAllocationInReplayBody)
+{
+    // The replay step of the machine's batch path is scanned like
+    // every other *Batch body, qualified definition included.
+    EXPECT_EQ(rulesIn("src/multicore/machine.cpp",
+                      "void\n"
+                      "MigrationMachine::replayBatch(const PostL1Chunk "
+                      "&chunk)\n"
+                      "{\n"
+                      "    for (size_t e = 0; e < chunk.eventCount; "
+                      "++e)\n"
+                      "        seen_.push_back(chunk.events[e]);\n"
+                      "}\n"),
+              std::vector<std::string>{"alloc-in-hot-loop"});
+}
+
 TEST(AllocInHotLoop, FlagsVirtualSeamAndScalarReentry)
 {
     // Per-reference dispatch through the OeStore interface...
@@ -351,13 +367,14 @@ TEST(AllocInHotLoop, FlagsVirtualSeamAndScalarReentry)
 
 TEST(AllocInHotLoop, FastEntryPointsAndNonBatchCodeAreFine)
 {
-    // Devirtualized *Fast calls are the blessed batched path.
-    EXPECT_TRUE(rulesIn("src/core/engine.cpp",
-                        "void referenceBatch(const uint64_t *l, "
+    // Concrete, non-virtual fast paths are the blessed batched path.
+    EXPECT_TRUE(rulesIn("src/cache/l1_filter.cpp",
+                        "size_t filterBatch(const MemRef *r, "
                         "size_t n) {\n"
                         "    for (size_t i = 0; i < n; ++i)\n"
-                        "        sum += soaStore_->lookupFast(l[i], "
-                        "d);\n"
+                        "        hit = il1.findEntryFast(r[i].addr) "
+                        "!= nullptr;\n"
+                        "    return 0;\n"
                         "}\n")
                     .empty());
     // Only *Batch bodies are hot; the scalar path may allocate.

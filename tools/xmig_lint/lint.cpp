@@ -919,8 +919,8 @@ const std::unordered_set<std::string> kHotAllocCalls = {
 };
 
 /** Member calls that are the per-reference virtual seam (the OeStore
- *  interface); batched code must reach the concrete store through its
- *  devirtualized *Fast entry points instead. */
+ *  interface); a *Batch loop must not dispatch through it per
+ *  reference. */
 const std::unordered_set<std::string> kScalarSeamMembers = {
     "lookup",
     "store",
@@ -934,12 +934,13 @@ const std::unordered_set<std::string> kScalarEntryCalls = {
 };
 
 /**
- * Scan the bodies of *Batch functions (accessBatch, referenceBatch,
- * filterBatch, onRequestBatch, ...) — the xmig-bolt hot paths whose
- * whole point is to amortize per-reference overhead — for heap
- * allocation and for per-reference dispatch through a virtual seam.
- * Cold fallback arms (fault-armed, unbounded store) carry an explicit
- * suppression with the justification of why they are exact.
+ * Scan the bodies of *Batch functions (accessBatch, filterBatch,
+ * replayBatch, referenceBatch, onRequestBatch, ...) — the xmig-bolt
+ * hot paths whose whole point is to amortize per-reference overhead —
+ * for heap allocation and for per-reference dispatch through a
+ * virtual seam. A deliberate per-reference loop (referenceBatch over
+ * reference()) carries an explicit suppression with its
+ * justification.
  */
 void
 ruleAllocInHotLoop(const std::string &path, const LexedFile &lexed,
@@ -983,9 +984,10 @@ ruleAllocInHotLoop(const std::string &path, const LexedFile &lexed,
                      "(): the *Batch loops exist to amortize "
                      "per-reference overhead, so they must be "
                      "allocation-free and devirtualized — hoist the "
-                     "work out of the loop or use the concrete *Fast "
-                     "entry points; a cold exact-fallback arm may be "
-                     "suppressed with a justification",
+                     "work out of the loop and call concrete, "
+                     "non-virtual members (as filterBatch calls "
+                     "Cache::accessTallied); a deliberate per-reference "
+                     "loop may be suppressed with a justification",
                  sourceLine(content, line)});
         };
         for (size_t j = bodyOpen + 1; j < bodyClose; ++j) {
