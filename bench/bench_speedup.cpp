@@ -13,9 +13,9 @@
  *
  *  2. Hot-path ns/reference — single-thread microloops over the
  *     per-reference kernels: AffinityEngine::reference with FIFO and
- *     distinct-LRU windows, the affinity-cache probe/update loop in
- *     both layouts (AoS vs SoA, each through the OeStore interface),
- *     and MigrationMachine on a recorded 179.art stream both
+ *     distinct-LRU windows, the affinity-cache probe/update loop
+ *     (through the OeStore interface), and MigrationMachine on a
+ *     recorded 179.art stream both
  *     per-reference (access) and batched (accessBatch, K = 64, the
  *     xmig-bolt pipeline). These move with the per-reference
  *     overhaul, not with the runner. The headline gate number is the
@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,20 +133,15 @@ engineLoopNs(WindowKind window, uint64_t iters)
 /**
  * Affinity-cache probe/update loop, isolated from the engine: the
  * access pattern is a circular sweep wider than the cache, so every
- * iteration probes and every fourth updates (forcing evictions). Both
- * arms go through the OeStore interface exactly as the engine does.
- * Identical streams, so the delta is the layout cost alone.
+ * iteration probes and every fourth updates (forcing evictions). The
+ * loop goes through the OeStore interface exactly as the engine does.
  */
 double
-probeLoopNs(bool soa, uint64_t iters)
+probeLoopNs(uint64_t iters)
 {
     AffinityCacheConfig ac; // the section 4.2 default: 8k, 4-way
-    std::unique_ptr<OeStore> owned;
-    if (soa)
-        owned = std::make_unique<SoaAffinityStore>(ac);
-    else
-        owned = std::make_unique<AffinityCacheStore>(ac);
-    OeStore &store = *owned;
+    SoaAffinityStore cache(ac);
+    OeStore &store = cache;
     // Prime, ~3/4 of the entry count: the sweep mostly hits (the
     // affinity cache's operating regime), with enough conflict misses
     // in the skewed banks to keep the install path warm.
@@ -304,8 +298,7 @@ main(int argc, char **argv)
     const double fifo_ns = engineLoopNs(WindowKind::Fifo, micro_iters);
     const double lru_ns =
         engineLoopNs(WindowKind::DistinctLru, micro_iters);
-    const double probe_aos_ns = probeLoopNs(false, micro_iters);
-    const double probe_soa_ns = probeLoopNs(true, micro_iters);
+    const double probe_ns = probeLoopNs(micro_iters);
     const double machine_ns = machineLoopNs(micro_iters, true);
     const double machine_scalar_ns = machineLoopNs(micro_iters, false);
     const double arena_ns = arenaLoopNs(instr);
@@ -314,8 +307,7 @@ main(int argc, char **argv)
     micro.addRow({"AffinityEngine FIFO/Exact", fmt("%.1f", fifo_ns)});
     micro.addRow(
         {"AffinityEngine DistinctLru/Exact", fmt("%.1f", lru_ns)});
-    micro.addRow({"AffinityCache probe AoS", fmt("%.1f", probe_aos_ns)});
-    micro.addRow({"AffinityCache probe SoA", fmt("%.1f", probe_soa_ns)});
+    micro.addRow({"AffinityCache probe/update", fmt("%.1f", probe_ns)});
     micro.addRow({"MigrationMachine 179.art (K=64)",
                   fmt("%.1f", machine_ns)});
     micro.addRow({"MigrationMachine 179.art (scalar)",
@@ -337,10 +329,7 @@ main(int argc, char **argv)
                              dt);
             std::fprintf(f, "engine_fifo_ns_per_ref,%.2f\n", fifo_ns);
             std::fprintf(f, "engine_lru_ns_per_ref,%.2f\n", lru_ns);
-            std::fprintf(f, "affinity_probe_aos_ns,%.2f\n",
-                         probe_aos_ns);
-            std::fprintf(f, "affinity_probe_soa_ns,%.2f\n",
-                         probe_soa_ns);
+            std::fprintf(f, "affinity_probe_soa_ns,%.2f\n", probe_ns);
             std::fprintf(f, "machine_ns_per_ref,%.2f\n", machine_ns);
             std::fprintf(f, "machine_scalar_ns_per_ref,%.2f\n",
                          machine_scalar_ns);
@@ -386,7 +375,6 @@ main(int argc, char **argv)
                          "  \"ns_per_reference\": {\n"
                          "    \"engine_fifo_exact\": %.2f,\n"
                          "    \"engine_distinctlru_exact\": %.2f,\n"
-                         "    \"affinity_probe_aos\": %.2f,\n"
                          "    \"affinity_probe_soa\": %.2f,\n"
                          "    \"migration_machine_179art\": %.2f,\n"
                          "    \"migration_machine_179art_unbatched\":"
@@ -394,7 +382,7 @@ main(int argc, char **argv)
                          "    \"arena_2tenant_throughput\": %.2f\n"
                          "  }\n"
                          "}\n",
-                         fifo_ns, lru_ns, probe_aos_ns, probe_soa_ns,
+                         fifo_ns, lru_ns, probe_ns,
                          machine_ns, machine_scalar_ns, arena_ns);
             std::fclose(f);
         } else {

@@ -28,7 +28,7 @@ main()
     constexpr uint64_t kLines = 4000;
     CircularStream stream(kLines);
 
-    // Unlimited O_e storage; swap in AffinityCacheStore for the
+    // Unlimited O_e storage; swap in SoaAffinityStore for the
     // finite, hardware-sized variant.
     UnboundedOeStore store(/*affinity_bits=*/16);
 

@@ -142,6 +142,18 @@ L1Filter::addStats(const CacheStats &il1, const CacheStats &dl1)
     }
 }
 
+void
+L1Filter::resetStats()
+{
+    if (config_.fullyAssociative) {
+        faIl1_->resetStats();
+        faDl1_->resetStats();
+    } else {
+        saIl1_->resetStats();
+        saDl1_->resetStats();
+    }
+}
+
 const CacheStats &
 L1Filter::il1Stats() const
 {

@@ -116,6 +116,9 @@ class L1Filter : public RefSink
      */
     void addStats(const CacheStats &il1, const CacheStats &dl1);
 
+    /** Zero the IL1/DL1 counters; contents are left alone. */
+    void resetStats();
+
     const LineGeometry &geometry() const { return geom_; }
 
     /** Replace the downstream sink (for staged experiments). */

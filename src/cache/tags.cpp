@@ -131,7 +131,6 @@ SetAssocTags::allocate(uint64_t line, CacheEntry *evicted,
     frame.lastUse = clock_;
     frame.inserted = clock_;
     frame.age = 0;
-    frame.payload = 0;
     if (policy_ == ReplPolicy::Age)
         ageTick(entries_, clock_);
     return frame;
@@ -223,7 +222,6 @@ SkewedTags::allocate(uint64_t line, CacheEntry *evicted,
     frame.lastUse = clock_;
     frame.inserted = clock_;
     frame.age = 0;
-    frame.payload = 0;
     if (policy_ == ReplPolicy::Age)
         ageTick(entries_, clock_);
     return frame;

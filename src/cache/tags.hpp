@@ -39,16 +39,6 @@ struct CacheEntry
     uint64_t lastUse = 0;   ///< LRU timestamp
     uint64_t inserted = 0;  ///< FIFO timestamp
     uint8_t age = 0;        ///< 2-bit age for ReplPolicy::Age
-
-    /**
-     * Owner-defined data word riding in the frame (xmig-swift). The
-     * affinity cache keeps O_e here so a hit is ONE probe — tag match
-     * and payload in the same entry, exactly as the hardware array of
-     * section 3.5 stores tag + affinity side by side — instead of a
-     * tag probe plus a separate line->O_e hash-map find. Reset to 0
-     * by allocate(); plain caches ignore it.
-     */
-    int64_t payload = 0;
 };
 
 /**

@@ -8,8 +8,7 @@
 namespace xmig {
 
 SoaAffinityStore::SoaAffinityStore(const AffinityCacheConfig &config)
-    : config_(config),
-      rng_(config.seed)
+    : config_(config)
 {
     XMIG_ASSERT(config.entries % config.ways == 0,
                 "affinity cache entries not divisible by ways");
@@ -19,17 +18,16 @@ SoaAffinityStore::SoaAffinityStore(const AffinityCacheConfig &config)
     lines_.resize(config.entries, 0);
     payload_.resize(config.entries, 0);
     lastUse_.resize(config.entries, 0);
-    inserted_.resize(config.entries, 0);
     age_.resize(config.entries, 0);
     valid_.resize(config.entries, 0);
 }
 
 size_t
-SoaAffinityStore::allocateIndex(uint64_t line, uint64_t *evicted_line,
-                                int64_t *evicted_oe, bool *evicted_valid)
+SoaAffinityStore::allocateIndex(uint64_t line, bool *evicted,
+                                uint64_t *evicted_line)
 {
-    // pickVictim (tags.cpp): prefer the first invalid candidate in way
-    // order; otherwise apply the policy over the candidate frames.
+    // Prefer the first invalid candidate in bank order; otherwise
+    // evict the oldest age, breaking ties by LRU timestamp.
     unsigned victim = config_.ways;
     for (unsigned w = 0; w < config_.ways; ++w) {
         if (!valid_[slotOf(line, w)]) {
@@ -38,63 +36,51 @@ SoaAffinityStore::allocateIndex(uint64_t line, uint64_t *evicted_line,
         }
     }
     if (victim == config_.ways) {
-        switch (config_.repl) {
-          case ReplPolicy::Lru: {
-            unsigned best = 0;
-            for (unsigned w = 1; w < config_.ways; ++w) {
-                if (lastUse_[slotOf(line, w)] <
-                    lastUse_[slotOf(line, best)])
-                    best = w;
-            }
-            victim = best;
-            break;
-          }
-          case ReplPolicy::Fifo: {
-            unsigned best = 0;
-            for (unsigned w = 1; w < config_.ways; ++w) {
-                if (inserted_[slotOf(line, w)] <
-                    inserted_[slotOf(line, best)])
-                    best = w;
-            }
-            victim = best;
-            break;
-          }
-          case ReplPolicy::Random:
-            victim = static_cast<unsigned>(rng_.below(config_.ways));
-            break;
-          case ReplPolicy::Age: {
-            // Evict the oldest age; break ties by LRU timestamp.
-            unsigned best = 0;
-            for (unsigned w = 1; w < config_.ways; ++w) {
-                const size_t c = slotOf(line, w);
-                const size_t b = slotOf(line, best);
-                if (age_[c] > age_[b] ||
-                    (age_[c] == age_[b] && lastUse_[c] < lastUse_[b]))
-                    best = w;
-            }
-            victim = best;
-            break;
-          }
+        victim = 0;
+        for (unsigned w = 1; w < config_.ways; ++w) {
+            const size_t c = slotOf(line, w);
+            const size_t b = slotOf(line, victim);
+            if (age_[c] > age_[b] ||
+                (age_[c] == age_[b] && lastUse_[c] < lastUse_[b]))
+                victim = w;
         }
     }
-    XMIG_AUDIT(victim < config_.ways,
-               "victim selection escaped the way range: %u of %u",
-               victim, config_.ways);
     const size_t i = slotOf(line, victim);
-    *evicted_valid = valid_[i] != 0;
-    if (*evicted_valid) {
+    *evicted = valid_[i] != 0;
+    if (*evicted)
         *evicted_line = lines_[i];
-        *evicted_oe = payload_[i];
-    }
+    else
+        ++resident_;
+    XMIG_AUDIT(resident_ <= config_.entries,
+               "affinity cache overfilled: %llu resident / %llu entries",
+               (unsigned long long)resident_,
+               (unsigned long long)config_.entries);
     ++clock_;
     lines_[i] = line;
     valid_[i] = 1;
     lastUse_[i] = clock_;
-    inserted_[i] = clock_;
     age_[i] = 0;
-    payload_[i] = 0;
-    if (config_.repl == ReplPolicy::Age)
-        ageTick();
+    ageTick();
+    return i;
+}
+
+size_t
+SoaAffinityStore::install(uint64_t line)
+{
+    bool evicted = false;
+    uint64_t victim_line = 0;
+    const size_t i = allocateIndex(line, &evicted, &victim_line);
+    if (evicted) {
+        ++stats_.evictions;
+        XMIG_TRACE("affinity_cache", "evict",
+                   {{"victim", victim_line},
+                    {"for", line},
+                    {"evictions", stats_.evictions}});
+    }
+    XMIG_AUDIT(stats_.evictions <= stats_.misses + stats_.stores,
+               "more evictions (%llu) than installs (%llu)",
+               (unsigned long long)stats_.evictions,
+               (unsigned long long)(stats_.misses + stats_.stores));
     return i;
 }
 
@@ -109,22 +95,12 @@ SoaAffinityStore::lookup(uint64_t line, int64_t delta)
         touchIndex(hit);
         return payload_[hit];
     }
-    // Miss: allocate and force A_e = 0 by setting O_e = Delta.
+    // Miss: allocate and force A_e = 0 by setting O_e = Delta, so the
+    // transition filter is not perturbed by untracked lines (section
+    // 4.2 relies on this to suppress migrations for working-sets far
+    // larger than the total L2 capacity).
     ++stats_.misses;
-    uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
-    bool victim_valid = false;
-    const size_t i =
-        allocateIndex(line, &victim_line, &victim_oe, &victim_valid);
-    if (victim_valid) {
-        ++stats_.evictions;
-        XMIG_TRACE("affinity_cache", "evict",
-                   {{"victim", victim_line},
-                    {"for", line},
-                    {"evictions", stats_.evictions}});
-    } else {
-        ++resident_;
-    }
+    const size_t i = install(line);
     const int64_t oe = saturateToBits(delta, config_.affinityBits);
     payload_[i] = oe;
     return oe;
@@ -136,27 +112,14 @@ SoaAffinityStore::store(uint64_t line, int64_t oe)
     ++stats_.stores;
     auditConsistency();
     const int64_t sat = saturateToBits(oe, config_.affinityBits);
-    const size_t hit = findIndex(line);
-    if (hit != kNoFrame) {
-        touchIndex(hit);
-        payload_[hit] = sat;
-        return;
-    }
-    // The entry was displaced while the line sat in the R-window;
-    // re-allocate, as a hardware write-allocate affinity cache would.
-    uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
-    bool victim_valid = false;
-    const size_t i =
-        allocateIndex(line, &victim_line, &victim_oe, &victim_valid);
-    if (victim_valid) {
-        ++stats_.evictions;
-        XMIG_TRACE("affinity_cache", "evict",
-                   {{"victim", victim_line},
-                    {"for", line},
-                    {"evictions", stats_.evictions}});
+    size_t i = findIndex(line);
+    if (i != kNoFrame) {
+        touchIndex(i);
     } else {
-        ++resident_;
+        // The entry was displaced while the line sat in the R-window;
+        // re-allocate, as a hardware write-allocate affinity cache
+        // would.
+        i = install(line);
     }
     payload_[i] = sat;
 }
@@ -164,7 +127,9 @@ SoaAffinityStore::store(uint64_t line, int64_t oe)
 void
 SoaAffinityStore::auditConsistency()
 {
-    // Cheap bound every call (same as AffinityCacheStore).
+    // Cheap bound every call: resident entries can never outgrow the
+    // configured entry count, and every miss either filled a free slot
+    // or displaced a victim.
     XMIG_AUDIT(resident_ <= config_.entries &&
                    stats_.evictions <= stats_.misses + stats_.stores,
                "affinity cache accounting desync: %llu resident / %llu "
@@ -173,6 +138,8 @@ SoaAffinityStore::auditConsistency()
                (unsigned long long)config_.entries,
                (unsigned long long)stats_.evictions);
     if constexpr (kAuditParanoid) {
+        // Full reconciliation is O(entries); amortize it over the
+        // lookup stream rather than paying it per call.
         if (++auditTick_ % 4096 != 0)
             return;
         uint64_t valid = 0;
@@ -199,7 +166,7 @@ SoaAffinityStore::auditConsistency()
 uint64_t
 SoaAffinityStore::nthValidLine(uint64_t target) const
 {
-    // Frame-index order == SkewedTags/SetAssocTags forEachValid order.
+    // Frame-index order, the order snapshots and fault picks use.
     uint64_t i = 0;
     for (size_t f = 0; f < valid_.size(); ++f) {
         if (valid_[f] && i++ == target)
@@ -262,21 +229,19 @@ void
 SoaAffinityStore::restoreEntries(
     const std::vector<OeEntrySnapshot> &entries, const OeStoreStats &stats)
 {
-    // Same rebuild-from-scratch semantics as AffinityCacheStore:
-    // invalidate everything, then greedy sorted re-insertion (which
-    // may displace an already-restored line; it re-initializes to
-    // A_e = 0 on its next touch, like an ordinary capacity eviction).
+    // Rebuild from scratch: invalidate everything, then re-insert in
+    // snapshot (line) order. That order fixes the replacement ages, so
+    // victim choices after a restore may differ from the original run;
+    // the contents are exact, except that greedy re-insertion is not a
+    // perfect matching over the skewed candidate frames and may shed
+    // an already-restored line. The shed entry re-initializes to
+    // A_e = 0 on its next touch, like an ordinary capacity eviction.
     std::fill(valid_.begin(), valid_.end(), uint8_t{0});
     resident_ = 0;
-
+    bool evicted = false;
     uint64_t victim_line = 0;
-    int64_t victim_oe = 0;
-    bool victim_valid = false;
     for (const OeEntrySnapshot &e : entries) {
-        const size_t i = allocateIndex(e.line, &victim_line, &victim_oe,
-                                       &victim_valid);
-        if (!victim_valid)
-            ++resident_;
+        const size_t i = allocateIndex(e.line, &evicted, &victim_line);
         payload_[i] = saturateToBits(e.oe, config_.affinityBits);
     }
     stats_ = stats;

@@ -1,23 +1,20 @@
 /**
  * @file
- * Structure-of-arrays affinity cache (xmig-bolt hot-path layout).
+ * The finite affinity cache of sections 3.5 and 4.2.
  *
- * SoaAffinityStore is a bit-for-bit behavioral replica of
- * AffinityCacheStore (oe_store.hpp) with the frame record exploded
- * into parallel arrays: tags, O_e payloads, and replacement metadata
- * each live in their own contiguous vector. A probe then touches ~8
- * bytes per candidate way instead of a whole ~48-byte CacheEntry, the
- * 8k-entry tag array fits in L1, and the periodic age sweep of the
- * Age replacement policy runs over two plain byte arrays the compiler
- * can vectorize.
+ * An `entries`-frame, `ways`-bank skewed-associative array with 2-bit
+ * age-based replacement; each frame holds a tag (the full line
+ * address) and the line's saturated O_e value side by side, as the
+ * hardware array of section 3.5 does, so a hit is one probe that
+ * yields tag match and value together. Placement, the age window and
+ * the victim tie-break are those of SkewedTags with ReplPolicy::Age
+ * (cache/tags.hpp), which test_oe_store uses as the reference.
  *
- * "Bit-for-bit" is a hard contract, not an aspiration: the decision
- * stream (hits, victims, evictions, trace events, audit cadence,
- * snapshot order, fault picks) must be indistinguishable from the
- * AoS store so that AffinityCacheConfig::soa can flip layouts without
- * perturbing a single simulation result. test_oe_store and
- * test_batch_determinism drive both layouts through identical
- * stimulus and compare every observable.
+ * The frame record is kept as a structure of arrays: tags, O_e
+ * values and replacement metadata each live in their own contiguous
+ * vector. A probe touches ~8 bytes per candidate bank, the 8k-entry
+ * tag array fits in L1, and the periodic age sweep runs over two
+ * plain byte arrays the compiler can vectorize.
  */
 
 #pragma once
@@ -26,22 +23,13 @@
 #include <optional>
 #include <vector>
 
-#include "cache/tags.hpp"
 #include "core/oe_store.hpp"
-#include "util/contracts.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
-#include "util/saturating.hpp"
 
 namespace xmig {
 
-/**
- * SoA replica of the finite affinity cache.
- *
- * Supports every AffinityCacheConfig (skewed or set-associative
- * indexing, any ReplPolicy), replicating SkewedTags / SetAssocTags
- * placement, replacement, and clock semantics exactly.
- */
+/** The bounded O_e store: skewed-associative, age-replaced. */
 class SoaAffinityStore : public OeStore
 {
   public:
@@ -54,6 +42,8 @@ class SoaAffinityStore : public OeStore
     const OeStoreStats &stats() const override { return stats_; }
 
     bool corruptRandomEntry(Rng &rng) override;
+
+    /** Tag corruption drops the tag *and* its O_e word together. */
     bool dropRandomEntry(Rng &rng) override;
 
     void snapshotEntries(std::vector<OeEntrySnapshot> &out) const override;
@@ -64,7 +54,10 @@ class SoaAffinityStore : public OeStore
     uint64_t occupancy() const { return resident_; }
     const AffinityCacheConfig &config() const { return config_; }
 
-    /** Same storage accounting as AffinityCacheStore::storageBits. */
+    /**
+     * Approximate storage cost in bits: per entry, `tag_bits` of tag,
+     * the affinity value, and 2 age bits (section 3.5's accounting).
+     */
     uint64_t
     storageBits(unsigned tag_bits = 20) const
     {
@@ -75,54 +68,43 @@ class SoaAffinityStore : public OeStore
   private:
     static constexpr size_t kNoFrame = ~size_t{0};
 
-    /** Candidate frame index of `line` in `way` (bank for skewed). */
+    /** Candidate frame index of `line` in bank `way`. */
     size_t
     slotOf(uint64_t line, unsigned way) const
     {
-        if (config_.skewed) {
-            // SkewedTags::slotOf: bank 0 is straight modulo, other
-            // banks use the skewing hashes; frames are bank-major.
-            const uint64_t set = way == 0
-                ? (line & (setsPerWay_ - 1))
-                : skewHash(line, way, setsPerWay_);
-            return size_t(way) * setsPerWay_ + set;
-        }
-        // SetAssocTags: set-major layout, way-contiguous within a set.
-        return size_t(line & (setsPerWay_ - 1)) * config_.ways + way;
+        // Bank 0 is straight modulo, other banks use the skewing
+        // hashes; frames are bank-major.
+        const uint64_t set = way == 0 ? (line & (setsPerWay_ - 1))
+                                      : skewHash(line, way, setsPerWay_);
+        return size_t(way) * setsPerWay_ + set;
     }
 
     /** Frame index holding `line`, or kNoFrame. */
     size_t
     findIndex(uint64_t line) const
     {
-        if (config_.skewed) {
-            for (unsigned w = 0; w < config_.ways; ++w) {
-                const size_t i = slotOf(line, w);
-                if (valid_[i] && lines_[i] == line)
-                    return i;
-            }
-            return kNoFrame;
-        }
-        const size_t base = size_t(line & (setsPerWay_ - 1)) *
-                            config_.ways;
         for (unsigned w = 0; w < config_.ways; ++w) {
-            if (valid_[base + w] && lines_[base + w] == line)
-                return base + w;
+            const size_t i = slotOf(line, w);
+            if (valid_[i] && lines_[i] == line)
+                return i;
         }
         return kNoFrame;
     }
 
-    /** SkewedTags/SetAssocTags::touch, over the exploded arrays. */
+    /** Record a use: fresh LRU stamp, age reset. */
     void
     touchIndex(size_t i)
     {
         lastUse_[i] = ++clock_;
         age_[i] = 0;
-        if (config_.repl == ReplPolicy::Age)
-            ageTick();
+        ageTick();
     }
 
-    /** The shared ageTick: vectorizable over the byte arrays. */
+    /**
+     * Age every valid entry each time the clock crosses a window of a
+     * quarter of the capacity — the paper's "few bits for age-based
+     * replacement". Vectorizable over the byte arrays.
+     */
     void
     ageTick()
     {
@@ -135,9 +117,18 @@ class SoaAffinityStore : public OeStore
         }
     }
 
-    /** pickVictim + frame install, replicating TagStore::allocate. */
-    size_t allocateIndex(uint64_t line, uint64_t *evicted_line,
-                         int64_t *evicted_oe, bool *evicted_valid);
+    /**
+     * Install `line` in the first invalid candidate frame, else in
+     * the oldest one (ties to the least recently used), keeping
+     * `resident_` current. Returns the frame; `*evicted` says whether
+     * a valid entry (`*evicted_line`) was displaced. The caller
+     * writes the O_e value.
+     */
+    size_t allocateIndex(uint64_t line, bool *evicted,
+                         uint64_t *evicted_line);
+
+    /** allocateIndex for lookup/store: counts and traces evictions. */
+    size_t install(uint64_t line);
 
     /** Cheap per-call accounting audit + periodic paranoid sweep. */
     void auditConsistency();
@@ -146,19 +137,17 @@ class SoaAffinityStore : public OeStore
     uint64_t nthValidLine(uint64_t target) const;
 
     AffinityCacheConfig config_;
-    uint64_t setsPerWay_ = 0; ///< sets per bank (skewed) or set count
-    uint64_t clock_ = 0;      ///< replacement clock (TagStore::clock_)
-    Rng rng_;                 ///< consumed only by ReplPolicy::Random
+    uint64_t setsPerWay_ = 0; ///< sets per bank
+    uint64_t clock_ = 0;      ///< replacement clock
 
     // The frame record, exploded (one slot per frame, frame-indexed).
     std::vector<uint64_t> lines_;   ///< tag: full line address
     std::vector<int64_t> payload_;  ///< O_e value
-    std::vector<uint64_t> lastUse_; ///< LRU timestamp
-    std::vector<uint64_t> inserted_; ///< FIFO timestamp
+    std::vector<uint64_t> lastUse_; ///< LRU timestamp (age tie-break)
     std::vector<uint8_t> age_;      ///< 2-bit age counters
     std::vector<uint8_t> valid_;    ///< validity (0/1)
 
-    uint64_t resident_ = 0; ///< valid entries (mirrors tag occupancy)
+    uint64_t resident_ = 0; ///< valid entries
     OeStoreStats stats_;
     uint64_t auditTick_ = 0; ///< paranoid reconciliation cadence
 };

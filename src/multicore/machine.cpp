@@ -533,10 +533,16 @@ void
 MigrationMachine::resetStats()
 {
     stats_ = {};
+    l1_->resetStats();
     for (auto &l2 : l2s_)
         l2->resetStats();
     if (l3_)
         l3_->resetStats();
+    XMIG_AUDIT(l1_->il1Stats().accesses == 0 &&
+                   l1_->dl1Stats().accesses == 0,
+               "stats reset left %llu IL1 / %llu DL1 accesses counted",
+               (unsigned long long)l1_->il1Stats().accesses,
+               (unsigned long long)l1_->dl1Stats().accesses);
 }
 
 namespace {

@@ -112,7 +112,6 @@ struct MachineConfig
         c.boundedStore = true;
         c.affinityCache.entries = 8 * 1024;
         c.affinityCache.ways = 4;
-        c.affinityCache.skewed = true;
         return c;
     }
 };
@@ -250,8 +249,9 @@ class MigrationMachine : public RefSink, private LineSink
     unsigned activeCore() const { return activeCore_; }
 
     /**
-     * Zero the event counters (machine state — cache contents,
-     * controller training — is preserved). Use to exclude warm-up
+     * Zero the event counters — the machine's and those of its IL1,
+     * DL1, L2s and L3 (machine state — cache contents, controller
+     * training — is preserved). Use to exclude warm-up
      * from measurements, approximating the paper's 1-billion-
      * instruction runs where warm-up is negligible.
      */

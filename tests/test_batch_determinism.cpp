@@ -4,10 +4,9 @@
  * indistinguishable from the per-reference path in
  * every observable — Table-2 rows, machine counters, journal JSONL
  * bytes, time-series CSV bytes, simulated-time trace events, sweep
- * text at any --jobs — with and without an armed fault plan;
- * checkpoints must round-trip mid-stream; and the SoA affinity
- * store must decide exactly like the AoS one. These are the
- * acceptance properties of docs/parallelism.md, "batching".
+ * text at any --jobs — with and without an armed fault plan; and
+ * checkpoints must round-trip mid-stream. These are the acceptance
+ * properties of docs/parallelism.md, "batching".
  */
 
 #include <algorithm>
@@ -499,21 +498,6 @@ TEST(BatchDeterminism, MachineCheckpointBetweenOddLengthBatches)
     EXPECT_EQ(c.stats().l2Misses, d.stats().l2Misses);
     EXPECT_EQ(c.stats().migrations, d.stats().migrations);
     EXPECT_EQ(c.activeCore(), d.activeCore());
-}
-
-TEST(BatchDeterminism, SoaStoreDecidesExactlyLikeAos)
-{
-    for (const std::string &name :
-         {std::string("179.art"), std::string("storm.thrash")}) {
-        QuadcoreParams p;
-        p.instructionsPerBenchmark = 120'000;
-        p.machine.controller.boundedStore = true;
-        p.machine.controller.affinityCache.soa = false;
-        const QuadcoreRow aos = runQuadcore(name, p);
-        p.machine.controller.affinityCache.soa = true;
-        const QuadcoreRow soa = runQuadcore(name, p);
-        expectRowsEqual(aos, soa, name + " soa-vs-aos");
-    }
 }
 
 } // namespace xmig

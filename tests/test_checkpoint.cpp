@@ -166,7 +166,6 @@ TEST(ControllerCheckpoint, BoundedStoreRoundTrips)
     cfg.boundedStore = true;
     cfg.affinityCache.entries = 1024;
     cfg.affinityCache.ways = 4;
-    cfg.affinityCache.skewed = true;
     MigrationController a(cfg);
     // Working set small enough to live in the 1024-entry cache, so the
     // splitter actually converges to a multi-core split.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -206,6 +207,51 @@ TEST(Observatory, WarmupResetRebasesSampledDeltas)
     const std::string csv = slurp(o.samplesOut);
     EXPECT_EQ(csv.rfind("t,interval,", 0), 0u);
     std::remove(o.samplesOut.c_str());
+}
+
+/** Value of counter `name` in a metrics JSONL dump (-1 if absent). */
+double
+metricValue(const std::string &jsonl, const std::string &name)
+{
+    const std::string key = "{\"name\":\"" + name + "\",";
+    const size_t at = jsonl.find(key);
+    if (at == std::string::npos)
+        return -1;
+    const size_t value = jsonl.find("\"value\":", at);
+    return std::strtod(jsonl.c_str() + value + 8, nullptr);
+}
+
+TEST(Observatory, WarmupResetZeroesL1Counters)
+{
+    // The warm-up reset must zero the IL1/DL1 counters with the rest:
+    // afterwards every reference is one L1 access and every L1 miss
+    // one machine-level l1_miss, on both machines.
+    QuadcoreParams p;
+    p.instructionsPerBenchmark = 200'000;
+    p.warmupInstructions = 100'000;
+    ObserveOptions o;
+    o.metricsOut = testing::TempDir() + "xmig_observe_warmup_l1.jsonl";
+    {
+        RunObservatory obs(o);
+        runQuadcore("179.art", p, &obs);
+    }
+    const std::string jsonl = slurp(o.metricsOut);
+    for (const std::string &prefix :
+         {std::string("machine"), std::string("baseline")}) {
+        const double refs = metricValue(jsonl, prefix + ".refs");
+        const double l1_misses = metricValue(jsonl, prefix + ".l1_misses");
+        ASSERT_GT(refs, 0) << prefix;
+        ASSERT_GT(l1_misses, 0) << prefix;
+        EXPECT_EQ(metricValue(jsonl, prefix + ".il1.accesses") +
+                      metricValue(jsonl, prefix + ".dl1.accesses"),
+                  refs)
+            << prefix;
+        EXPECT_EQ(metricValue(jsonl, prefix + ".il1.misses") +
+                      metricValue(jsonl, prefix + ".dl1.misses"),
+                  l1_misses)
+            << prefix;
+    }
+    std::remove(o.metricsOut.c_str());
 }
 
 } // namespace

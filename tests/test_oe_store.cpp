@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for O_e storage: unlimited map and the finite affinity
- * cache (section 3.5 / 4.2).
+ * cache (section 3.5 / 4.2), the latter checked decision for decision
+ * against the shared skewed tag store.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
+#include "cache/tags.hpp"
 #include "core/oe_store.hpp"
+#include "core/soa_oe_store.hpp"
 
 namespace xmig {
 namespace {
@@ -48,14 +55,12 @@ tinyCache()
     AffinityCacheConfig c;
     c.entries = 16;
     c.ways = 4;
-    c.skewed = false;
-    c.repl = ReplPolicy::Lru;
     return c;
 }
 
 TEST(AffinityCacheStore, MissForcesDelta)
 {
-    AffinityCacheStore store(tinyCache());
+    SoaAffinityStore store(tinyCache());
     EXPECT_EQ(store.lookup(9, -5), -5);
     EXPECT_EQ(store.lookup(9, 100), -5); // now a hit
     EXPECT_EQ(store.stats().misses, 1u);
@@ -63,7 +68,7 @@ TEST(AffinityCacheStore, MissForcesDelta)
 
 TEST(AffinityCacheStore, CapacityIsBounded)
 {
-    AffinityCacheStore store(tinyCache());
+    SoaAffinityStore store(tinyCache());
     for (uint64_t line = 0; line < 1000; ++line)
         store.lookup(line, 7);
     EXPECT_LE(store.occupancy(), 16u);
@@ -74,7 +79,7 @@ TEST(AffinityCacheStore, EvictionDropsPayload)
     AffinityCacheConfig c = tinyCache();
     c.entries = 4;
     c.ways = 4; // one set: easy to overflow
-    AffinityCacheStore store(c);
+    SoaAffinityStore store(c);
     store.lookup(1, 0);
     store.store(1, 77);
     for (uint64_t line = 2; line < 10; ++line)
@@ -89,7 +94,7 @@ TEST(AffinityCacheStore, StoreReallocatesAfterDisplacement)
 {
     AffinityCacheConfig c = tinyCache();
     c.entries = 4;
-    AffinityCacheStore store(c);
+    SoaAffinityStore store(c);
     store.lookup(1, 0);
     for (uint64_t line = 2; line < 10; ++line)
         store.lookup(line, 0);
@@ -105,10 +110,10 @@ TEST(AffinityCacheStore, StorageArithmeticMatchesPaper)
     // 2 age bits) = 152 KB; 8k entries = 38 KB.
     AffinityCacheConfig c;
     c.entries = 32 * 1024;
-    AffinityCacheStore big(c);
+    SoaAffinityStore big(c);
     EXPECT_EQ(big.storageBits(20) / 8 / 1024, 152u);
     c.entries = 8 * 1024;
-    AffinityCacheStore small(c);
+    SoaAffinityStore small(c);
     EXPECT_EQ(small.storageBits(20) / 8 / 1024, 38u);
 }
 
@@ -136,8 +141,7 @@ TEST(OeStoreStats, AffinityCacheCountsEvictions)
     AffinityCacheConfig c;
     c.entries = 64;
     c.ways = 4;
-    c.skewed = false;
-    AffinityCacheStore store(c);
+    SoaAffinityStore store(c);
     const uint64_t kLines = 512;
     const int rounds = 4;
     for (int r = 0; r < rounds; ++r) {
@@ -162,8 +166,7 @@ TEST(OeStoreStats, StoreDisplacementCountsAsEviction)
     AffinityCacheConfig c;
     c.entries = 16;
     c.ways = 2;
-    c.skewed = false;
-    AffinityCacheStore store(c);
+    SoaAffinityStore store(c);
     // Fill via direct store() writes (the R-window write-back path).
     for (uint64_t line = 0; line < 256; ++line)
         store.store(line, 1);
@@ -179,14 +182,90 @@ TEST(AffinityCacheStore, SkewedVariantWorks)
     AffinityCacheConfig c;
     c.entries = 8 * 1024;
     c.ways = 4;
-    c.skewed = true;
-    c.repl = ReplPolicy::Age;
-    AffinityCacheStore store(c);
+    SoaAffinityStore store(c);
     for (uint64_t line = 0; line < 6000; ++line)
         store.lookup(0x4000000 + line, 3);
     // A sequential working-set below capacity should mostly fit.
     EXPECT_GT(store.occupancy(), 5000u);
     EXPECT_LE(store.occupancy(), 8 * 1024u);
+}
+
+TEST(SoaAffinityStore, DecidesExactlyLikeSkewedAgeTags)
+{
+    // SkewedTags with ReplPolicy::Age is the reference organization:
+    // same bank hashes, age window and victim tie-break. Drive both
+    // through one mixed lookup/store stream whose footprint is far
+    // wider than the cache, so hits, conflict misses and evictions
+    // all occur; a value map follows the oracle's resident lines.
+    const uint64_t kSets = 128;
+    const unsigned kWays = 4;
+    AffinityCacheConfig c;
+    c.entries = kSets * kWays;
+    c.ways = kWays;
+    SoaAffinityStore store(c);
+    SkewedTags tags(kSets, kWays, ReplPolicy::Age);
+    std::unordered_map<uint64_t, int64_t> values;
+    uint64_t evictions = 0;
+    uint64_t hits = 0;
+
+    Rng rng(2004);
+    const int kOps = 160'000;
+    for (int op = 0; op < kOps; ++op) {
+        // Three in four references go to a hot set of 3/4 of the
+        // capacity (strided across the banks), the rest anywhere in a
+        // 1M-line space.
+        const uint64_t line = rng.below(4) != 0
+            ? 0x4000 + rng.below(384) * 7
+            : rng.below(uint64_t{1} << 20);
+        const bool is_lookup = rng.below(3) != 0;
+        const int64_t value = static_cast<int64_t>(rng.below(1 << 18)) -
+                              (1 << 17);
+
+        CacheEntry *e = tags.find(line);
+        const bool hit = e != nullptr;
+        ASSERT_EQ(store.peek(line).has_value(), hit) << "op " << op;
+        if (hit) {
+            ++hits;
+            tags.touch(*e);
+        } else {
+            CacheEntry victim;
+            bool evicted = false;
+            tags.allocate(line, &victim, &evicted);
+            if (evicted) {
+                ++evictions;
+                values.erase(victim.line);
+            }
+        }
+
+        if (is_lookup) {
+            const uint64_t misses = store.stats().misses;
+            const int64_t oe = store.lookup(line, value);
+            ASSERT_EQ(store.stats().misses - misses, hit ? 0u : 1u)
+                << "op " << op;
+            if (!hit)
+                values[line] = saturateToBits(value, c.affinityBits);
+            ASSERT_EQ(oe, values[line]) << "op " << op;
+        } else {
+            store.store(line, value);
+            values[line] = saturateToBits(value, c.affinityBits);
+        }
+        ASSERT_EQ(store.occupancy(), tags.occupancy()) << "op " << op;
+    }
+    EXPECT_GT(hits, uint64_t{kOps / 4});
+    EXPECT_GT(evictions, uint64_t{kOps / 10});
+    EXPECT_EQ(store.stats().evictions, evictions);
+
+    std::vector<uint64_t> resident;
+    tags.forEachValid(
+        [&](const CacheEntry &f) { resident.push_back(f.line); });
+    std::sort(resident.begin(), resident.end());
+    std::vector<OeEntrySnapshot> snapshot;
+    store.snapshotEntries(snapshot);
+    ASSERT_EQ(snapshot.size(), resident.size());
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+        EXPECT_EQ(snapshot[i].line, resident[i]);
+        EXPECT_EQ(snapshot[i].oe, values.at(resident[i]));
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include "core/kway_splitter.hpp"
 #include "core/oe_store.hpp"
+#include "util/hashing.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace xmig {
